@@ -29,7 +29,6 @@ from .distribution import (
     quantile,
 )
 from .tables import (
-    MultiQuantileTable,
     QuantileTable,
     build_table,
     default_table,

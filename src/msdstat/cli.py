@@ -14,6 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .bootstrap import BootstrapConfig, BootstrapReport, bootstrap_msd
 from .datasets import load_study
 from .distribution import quantile
@@ -37,6 +38,7 @@ from .tables import (
 
 TABLES_ENV = "MSD_TABLES_DIR"
 _LEVELS = (0.95, 0.99)
+_NONFINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
 
 def _run(fn):
@@ -55,7 +57,7 @@ def _run(fn):
 
 
 @click.group()
-@click.version_option(package_name="msdstat", prog_name="msd")
+@click.version_option(version=__version__, prog_name="msd")
 def entrypoint():
     """Flag anomalous results in location/uncertainty data.
 
@@ -79,16 +81,20 @@ def _table_for(n: int, tables: Path | None):
     return load_table(tables / f"msd_table_{parity}.csv")
 
 
-def _critical_values(n: int, mode: str, tables: Path | None):
-    """One critical value per reporting level, plus a provenance note."""
-    if tables is None and mode == "multiple":
-        # exact inversion of the per-dataset adjusted probability
-        return tuple(multi_quantile_adjusted(n, p) for p in _LEVELS), "exact"
-    if tables is None:
-        return tuple(quantile(p, n) for p in _LEVELS), "exact"
-    table = _table_for(n, tables)
-    adjusted = [p ** (1.0 / n) if mode == "multiple" else p for p in _LEVELS]
-    return tuple(interp_quantile(table, n, p) for p in adjusted), str(tables)
+def _critical_value(n: int, p: float, mode: str, table):
+    """Level-p critical value, exact when ``table`` is None, else tabulated."""
+    if table is None:
+        return (multi_quantile_adjusted(n, p) if mode == "multiple"
+                else quantile(p, n))
+    return interp_quantile(table, n, p ** (1.0 / n) if mode == "multiple"
+                           else p)
+
+
+def _dump_json(doc) -> str:
+    # JSON has no inf or nan; a round trip through the parser turns them
+    # into strings, and finite floats round-trip exactly
+    doc = json.loads(json.dumps(doc), parse_constant=_NONFINITE.__getitem__)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def _p_json(p) -> dict:
@@ -133,7 +139,9 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
     ds = load_study(input_path)
     scores = msd(ds).by_label()
     tables = _tables_dir(tables)
-    crit, provenance = _critical_values(ds.n, mode, tables)
+    table = None if tables is None else _table_for(ds.n, tables)
+    crit = tuple(_critical_value(ds.n, p, mode, table) for p in _LEVELS)
+    provenance = "exact" if tables is None else str(tables)
     report = None
     if bootstrap_b:
         report = bootstrap_msd(ds, BootstrapConfig(
@@ -170,7 +178,7 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
             "bootstrap_replicates": bootstrap_b or None,
             "results": rows,
         }
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(_dump_json(doc))
         return
 
     click.echo(f"{ds.n} results ({'even' if ds.n % 2 == 0 else 'odd'}); "
@@ -227,7 +235,7 @@ def bootstrap_cmd(input_path, replicates, seed, fmt):
                 **_bootstrap_json(report, row.label),
             } for row in report.rows],
         }
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(_dump_json(doc))
         return
     click.echo(f"bootstrap: B={report.replicates} seed={report.seed}")
     click.echo(f"{'lab':<8} {'q_e':>8} {'q*(0.95)':>10} {'q*(0.99)':>10} "
@@ -252,14 +260,8 @@ def bootstrap_cmd(input_path, replicates, seed, fmt):
 @_run
 def quantile_cmd(n, p, mode, method):
     """Print a critical value of the statistic under exchangeable data."""
-    if method == "exact":
-        value = multi_quantile_adjusted(n, p) if mode == "multiple" \
-            else quantile(p, n)
-    else:
-        table = _table_for(n, _tables_dir(None))
-        adjusted = p ** (1.0 / n) if mode == "multiple" else p
-        value = interp_quantile(table, n, adjusted)
-    click.echo(f"{value:.6g}")
+    table = _table_for(n, _tables_dir(None)) if method == "table" else None
+    click.echo(f"{_critical_value(n, p, mode, table):.6g}")
 
 
 @entrypoint.group()

@@ -5,6 +5,7 @@ The interchange format is deliberately plain: comma-separated text with a
 """
 from __future__ import annotations
 
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -45,8 +46,10 @@ def _parse_study(lines, origin: str) -> Dataset:
             raise DataError(
                 f"{origin}:{lineno}: value and u must be decimal numbers, "
                 f"got {value_text!r}, {u_text!r}") from None
-        if not u > 0:
-            raise DataError(f"{origin}:{lineno}: u must be positive, got {u}")
+        if not (math.isfinite(value) and math.isfinite(u) and u > 0):
+            raise DataError(
+                f"{origin}:{lineno}: value must be finite and u positive and "
+                f"finite, got {value_text!r}, {u_text!r}")
         labels.append(lab)
         values.append(value)
         uncerts.append(u)

@@ -139,7 +139,6 @@ def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
     if hi == lo:
-        x, _ = _gl_rule(2)
         probe = np.asarray(f(np.array([lo, lo])))
         return np.zeros(probe.shape[1:])
     if hi < lo:
@@ -211,10 +210,6 @@ class MonotoneSpline:
         self._t = t
         self._y = y
         self._m = np.clip(m, 0.0, cap)
-
-    @property
-    def knots(self) -> np.ndarray:
-        return self._t.copy()
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)

@@ -8,8 +8,8 @@ comparator over the same differences is provided for power studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -98,10 +98,14 @@ class ScaledDifferenceRow:
 class MsdResult:
     labels: tuple[str, ...]
     q_e: np.ndarray
-    rows: tuple[ScaledDifferenceRow, ...] = field(repr=False)
 
     def by_label(self) -> dict[str, float]:
         return {lab: float(q) for lab, q in zip(self.labels, self.q_e)}
+
+
+# Pair elements each batch temporary holds at once (0.5 MiB of float64):
+# the kernels' working set stays fixed however many datasets they score.
+BUDGET = 1 << 16
 
 
 def pair_matrix(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -116,13 +120,7 @@ def pair_matrix(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return dx / s
 
 
-def qe_values(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-observation median of |d_ij| for one or a batch of datasets.
-
-    The median over an even count of partners is the mean of the two
-    central order statistics; the count is even exactly when n is odd.
-    """
-    d = pair_matrix(x, u)
+def _median_abs(d: np.ndarray) -> np.ndarray:
     n = d.shape[-1]
     a = np.abs(d)
     idx = np.arange(n)
@@ -136,11 +134,38 @@ def qe_values(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 0.5 * (part[..., half - 1] + part[..., half])
 
 
-def pwch_values(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Mean of squared scaled differences per observation (batch friendly)."""
-    d = pair_matrix(x, u)
+def _mean_square(d: np.ndarray) -> np.ndarray:
     n = d.shape[-1]
     return (d * d).sum(axis=-1) / (n - 1)  # diagonal contributes zero
+
+
+def _sliced(kernel, x, u) -> np.ndarray:
+    """Run ``kernel`` on the pair matrices of max(1, BUDGET // n**2)
+    datasets at a time."""
+    x, u = np.broadcast_arrays(x, u)
+    n = x.shape[-1]
+    flat_x = x.reshape(-1, n)
+    flat_u = u.reshape(-1, n)
+    step = max(1, BUDGET // (n * n))
+    out = np.empty(flat_x.shape)
+    for lo in range(0, len(flat_x), step):
+        sl = slice(lo, lo + step)
+        out[sl] = kernel(pair_matrix(flat_x[sl], flat_u[sl]))
+    return out.reshape(x.shape)
+
+
+def qe_values(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-observation median of |d_ij| for one or a batch of datasets.
+
+    The median over an even count of partners is the mean of the two
+    central order statistics; the count is even exactly when n is odd.
+    """
+    return _sliced(_median_abs, x, u)
+
+
+def pwch_values(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Mean of squared scaled differences per observation (batch friendly)."""
+    return _sliced(_mean_square, x, u)
 
 
 def scaled_differences(ds: Dataset) -> tuple[ScaledDifferenceRow, ...]:
@@ -153,8 +178,7 @@ def scaled_differences(ds: Dataset) -> tuple[ScaledDifferenceRow, ...]:
 
 def msd(ds: Dataset) -> MsdResult:
     """Median absolute scaled difference for every observation."""
-    q = qe_values(ds.values(), ds.uncertainties())
-    return MsdResult(ds.labels, q, scaled_differences(ds))
+    return MsdResult(ds.labels, qe_values(ds.values(), ds.uncertainties()))
 
 
 def pairwise_chisq(ds: Dataset) -> tuple[tuple[str, float], ...]:

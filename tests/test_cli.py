@@ -5,6 +5,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+import msdstat
 from msdstat import DataError
 from msdstat.cli import _run, entrypoint
 from msdstat.datasets import conductivity_study, load_study, save_study
@@ -47,6 +48,10 @@ class TestStudyFiles:
             ("lab,value,u\na,1.0,0.5\nb,2.0,-1.0\nc,3.0,0.5\n", ":3"),
             ("lab,value,u\n,1.0,0.5\nb,2.0,1.0\nc,3.0,0.5\n", ":2"),
             ("value,u,lab\na,1.0,0.5\n", ":1"),
+            ("lab,value,u\na,1.0,0.5\nb,nan,0.5\nc,3.0,0.5\n", ":3"),
+            ("lab,value,u\na,1.0,0.5\nb,2.0,0.5\nc,-inf,0.5\n", ":4"),
+            ("lab,value,u\na,1.0,inf\nb,2.0,0.5\nc,3.0,0.5\n", ":2"),
+            ("lab,value,u\na,1.0,0.5\nb,2.0,nan\nc,3.0,0.5\n", ":3"),
         ]
         for text, marker in cases:
             path = tmp_path / "bad.csv"
@@ -145,6 +150,36 @@ class TestAnalyze:
             assert row["q_e"] == 0.0
             assert not any([row["above_95"], row["above_99"],
                             row["above_2_0"], row["above_2_5"]])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_structured_output_is_strict_json(self, runner, tmp_path):
+        # u = 1e-200 squares to zero: the scores come out inf, or nan for
+        # equal values, and JSON has no literal for either
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        path = tmp_path / "tiny.csv"
+        for values, want in (((1.0, 2.0, 3.0, 10.0), "inf"),
+                             ((1.0, 1.0, 1.0, 1.0), "nan")):
+            path.write_text("lab,value,u\n" + "".join(
+                f"L{i},{v},1e-200\n" for i, v in enumerate(values)))
+            result = invoke(runner, ["analyze", str(path), "--bootstrap",
+                                     "200", "--format", "structured"])
+            doc = json.loads(result.output, parse_constant=reject)
+            assert [row["q_e"] for row in doc["results"]] == [want] * 4
+
+    def test_partial_tables_exit_3(self, runner, tmp_path):
+        tdir = tmp_path / "tables"
+        invoke(runner, ["tables", "generate", "--parity", "even", "--max-n",
+                        "4", "--out", str(tdir)])
+        path = tmp_path / "eight.csv"
+        path.write_text("lab,value,u\n" + "".join(
+            f"L{i},{0.1 * i},1.0\n" for i in range(8)))
+        result = runner.invoke(entrypoint, ["analyze", str(path), "--tables",
+                                            str(tdir)])
+        assert result.exit_code == 3
+        assert "n=8" in result.output
+        assert "Traceback" not in result.output
 
     def test_table_routing_via_flag_and_env(self, runner, study_path,
                                             tmp_path):
@@ -333,6 +368,12 @@ class TestBootstrapCmd:
         result = runner.invoke(entrypoint, ["bootstrap", str(study_path),
                                             "-B", "50"])
         assert result.exit_code == 3
+
+
+class TestVersion:
+    def test_version_from_source_tree(self, runner):
+        result = invoke(runner, ["--version"])
+        assert result.output == f"msd, version {msdstat.__version__}\n"
 
 
 class TestExitCodeMapping:

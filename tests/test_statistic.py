@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from msdstat import (
     pairwise_chisq,
     scaled_differences,
 )
-from msdstat.statistic import pair_matrix, pwch_values, qe_values
+from msdstat.statistic import BUDGET, pair_matrix, pwch_values, qe_values
 
 import property_checks as props
 
@@ -187,6 +188,46 @@ class TestComparator:
         for k in range(3):
             single = pwch_values(x[k], u[k])
             assert np.array_equal(batch[k], single)
+
+
+class TestBatchSlices:
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_slices_match_per_dataset_evaluation(self, n):
+        # three full slices plus a one-dataset tail, for per-lab and
+        # per-replicate uncertainties; the reference scores one dataset at
+        # a time from its own pair matrix
+        step = BUDGET // (n * n)
+        batch = 3 * step + 1
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(batch, n))
+        off = ~np.eye(n, dtype=bool)
+        for u in (rng.uniform(0.5, 2.0, size=n),
+                  rng.uniform(0.5, 2.0, size=(batch, n))):
+            uk = np.broadcast_to(u, x.shape)
+            want_qe = np.empty_like(x)
+            want_pwch = np.empty_like(x)
+            for k in range(batch):
+                d = pair_matrix(x[k], uk[k])
+                want_pwch[k] = (d * d).sum(axis=-1) / (n - 1)
+                want_qe[k] = np.median(np.abs(d[off].reshape(n, n - 1)),
+                                       axis=1)
+            assert np.array_equal(qe_values(x, u), want_qe)
+            assert np.array_equal(pwch_values(x, u), want_pwch)
+            shaped = (3, step, n)
+            assert np.array_equal(
+                qe_values(x[:-1].reshape(shaped), uk[:-1].reshape(shaped)),
+                want_qe[:-1].reshape(shaped))
+
+    def test_working_set_independent_of_batch(self):
+        x = np.random.default_rng(3).normal(size=(4096, 100))
+        u = np.ones(100)
+        tracemalloc.start()
+        try:
+            qe_values(x, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestMonotoneResponse:

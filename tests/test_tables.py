@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from msdstat import (
 from msdstat.tables import (
     EVEN_SIZES,
     ODD_SIZES,
-    MultiQuantileTable,
     QuantileTable,
     build_table,
     default_table,
@@ -104,11 +105,19 @@ class TestTableType:
         with pytest.raises(DataError):
             QuantileTable("even", (4.0, math.inf), t, bad)  # decreasing row
 
-    def test_multi_table_invariant(self):
-        qs = np.array([[2.1, 2.5, 3.1], [2.1, 2.5, 3.0]])
-        MultiQuantileTable("even", (4, 6), (0.95, 0.99, 0.999), qs)
-        with pytest.raises(DataError):
-            MultiQuantileTable("even", (4, 6), (0.95, 0.99, 0.999), qs[:, ::-1])
+    def test_loaded_table_freed_after_lookups(self, tmp_path):
+        # the spline cache lives on the table, so it must not keep it alive
+        path = tmp_path / "table.csv"
+        save_table(build_table("even", max_n=8), path)
+        tab = load_table(path)
+        interp_quantile(tab, 6, 0.95)
+        interp_quantile(tab, 6, 0.99)
+        interp_probability(tab, 10, 1.0)
+        interp_probability(tab, math.inf, 1.0)
+        ref = weakref.ref(tab)
+        del tab
+        gc.collect()
+        assert ref() is None
 
 
 class TestPersistence:
@@ -192,6 +201,14 @@ class TestInterpQuantile:
             for p in (0.5, 0.9, 0.99):
                 q = interp_quantile(tab, n, p)
                 assert abs(interp_probability(tab, n, q) - p) < 1e-6
+
+    def test_too_few_rows_to_synthesize(self):
+        # cross-size rows need four finite rows inside the grid, two beyond
+        for max_n, n, rows in ((6, 5, 2), (4, 8, 1)):
+            tab = build_table("even", max_n=max_n)
+            with pytest.raises(TableRangeError,
+                               match=rf"even table \({rows}\).*n={n}"):
+                interp_quantile(tab, n, 0.95)
 
     def test_beyond_table_range(self):
         with pytest.raises(TableRangeError):
