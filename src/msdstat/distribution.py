@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .numerics import find_root, integrate, integrate_batch
 
 __all__ = [
@@ -44,6 +44,12 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _X0_CUTOFF = 8.5  # normal weight beyond this is < 1e-17, below every tolerance used
+
+# Absolute quadrature tolerances in probability; the table file header
+# records them, so changing one means regenerating the bundled tables.
+_EVEN_TOL = 1e-9
+_ODD_INNER_TOL = 1e-10
+_ODD_OUTER_TOL = 1e-8
 
 # The asymptotic distribution is zero left of (half-normal median)/sqrt(2).
 ASYMPTOTIC_LOWER_BOUND = float(special.ndtri(0.75)) / _SQRT2
@@ -106,7 +112,14 @@ def _validate_q(q) -> float:
     return q
 
 
-def cdf_even(q, n, tol: float = 1e-9) -> float:
+def _validate_p(p) -> float:
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"probability must lie strictly inside (0, 1), got {p}")
+    return p
+
+
+def cdf_even(q, n) -> float:
     """Marginal P(Q_E <= q) for even n.
 
     The conditional probability that the median of an odd count n-1 of
@@ -126,12 +139,11 @@ def cdf_even(q, n, tol: float = 1e-9) -> float:
         f = conditional_cdf(q, x0)
         return special.betainc(r, spec.n - r, f) * _norm_pdf(x0)
 
-    val = 2.0 * integrate(integrand, 0.0, _X0_CUTOFF, tol=0.5 * tol)
+    val = 2.0 * integrate(integrand, 0.0, _X0_CUTOFF, tol=0.5 * _EVEN_TOL)
     return min(max(val, 0.0), 1.0)
 
 
-def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int,
-                         inner_tol: float) -> np.ndarray:
+def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
     """P(median of 2r differences <= q | x0), batched over x0.
 
     With m(t) = mean of the r-th and (r+1)-th order statistics, the
@@ -163,10 +175,10 @@ def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int,
             body = diff
         return const * body * conditional_pdf(tc, x0[None, :])
 
-    return integrate_batch(g, 0.0, q, tol=inner_tol)
+    return integrate_batch(g, 0.0, q, tol=_ODD_INNER_TOL)
 
 
-def cdf_odd(q, n, inner_tol: float = 1e-10, outer_tol: float = 1e-8) -> float:
+def cdf_odd(q, n) -> float:
     """Marginal P(Q_E <= q) for odd n by the nested double integral."""
     q = _validate_q(q)
     spec = DistSpec.for_n(n)
@@ -177,9 +189,9 @@ def cdf_odd(q, n, inner_tol: float = 1e-10, outer_tol: float = 1e-8) -> float:
     r = spec.r
 
     def outer(x0):
-        return _odd_conditional_cdf(q, x0, r, inner_tol) * _norm_pdf(x0)
+        return _odd_conditional_cdf(q, x0, r) * _norm_pdf(x0)
 
-    val = 2.0 * integrate(outer, 0.0, _X0_CUTOFF, tol=outer_tol)
+    val = 2.0 * integrate(outer, 0.0, _X0_CUTOFF, tol=_ODD_OUTER_TOL)
     return min(max(val, 0.0), 1.0)
 
 
@@ -220,17 +232,8 @@ _QUANTILE_BRACKET_HI = 10.0
 
 def quantile(p, n, *, odd_exact_limit: int = 99) -> float:
     """Inverse of ``cdf`` in q, accurate to better than 1e-6 in probability."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie strictly inside (0, 1), got {p}")
-    if n == math.inf:
-        lo = ASYMPTOTIC_LOWER_BOUND
-        return find_root(lambda q: cdf_asymptotic(q) - p,
-                         lo + 1e-12, _QUANTILE_BRACKET_HI)
-    DistSpec.for_n(n)
-    hi = _QUANTILE_BRACKET_HI
-    if cdf(hi, n, odd_exact_limit=odd_exact_limit) < p:
-        raise ConvergenceError(
-            f"quantile bracket [0, {hi:g}] does not reach p={p}")
+    p = _validate_p(p)
+    # the asymptotic CDF is flat at zero up to its support bound
+    lo = ASYMPTOTIC_LOWER_BOUND + 1e-12 if n == math.inf else 0.0
     return find_root(lambda q: cdf(q, n, odd_exact_limit=odd_exact_limit) - p,
-                     0.0, hi)
+                     lo, _QUANTILE_BRACKET_HI)

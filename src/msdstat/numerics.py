@@ -51,6 +51,10 @@ _WEIGHTS_K = np.concatenate([_WK[:-1], [_WK[-1]], _WK[-2::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 
+_MAX_INTERVALS = 2048  # panel budget of integrate
+_MAX_NODES = 2048      # largest Gauss-Legendre rule of integrate_batch
+_XTOL = 1e-10          # absolute tolerance of find_root
+
 
 def _panel_rule(f, a, b):
     """Apply the 15-point rule to each panel [a[i], b[i]] in one call."""
@@ -68,7 +72,7 @@ def _panel_rule(f, a, b):
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-              tol: float = 1e-10, max_intervals: int = 2048) -> float:
+              tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod integral of a vectorized scalar integrand.
 
     Panels whose local error exceeds their share of ``tol`` are bisected,
@@ -96,9 +100,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         split = errs > budget
         if not split.any():
             break
-        if a.size + split.sum() > max_intervals:
+        if a.size + split.sum() > _MAX_INTERVALS:
             raise ConvergenceError(
-                f"integral did not converge within {max_intervals} panels "
+                f"integral did not converge within {_MAX_INTERVALS} panels "
                 f"(residual error {errs.sum():.3e}, tol {tol:.3e})")
         sa, sb = a[split], b[split]
         sm = 0.5 * (sa + sb)
@@ -126,7 +130,7 @@ def _gl_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                    tol: float = 1e-10, max_nodes: int = 2048) -> np.ndarray:
+                    tol: float = 1e-10) -> np.ndarray:
     """Integrate a batch of smooth integrands sharing one interval.
 
     ``f`` maps an array of abscissae with shape (k,) to an array of shape
@@ -148,7 +152,7 @@ def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     half = 0.5 * (hi - lo)
     prev = None
     k = 16
-    while k <= max_nodes:
+    while k <= _MAX_NODES:
         x, w = _gl_rule(k)
         vals = np.asarray(f(mid + half * x))
         if not np.all(np.isfinite(vals)):
@@ -161,14 +165,13 @@ def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         prev = est
         k *= 2
     raise ConvergenceError(
-        f"batched integral did not stabilize within {max_nodes} nodes")
+        f"batched integral did not stabilize within {_MAX_NODES} nodes")
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float,
-              xtol: float = 1e-10) -> float:
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Brent root of a scalar function on a bracketing interval."""
     try:
-        return float(optimize.brentq(f, lo, hi, xtol=xtol))
+        return float(optimize.brentq(f, lo, hi, xtol=_XTOL))
     except ValueError as exc:
         raise ConvergenceError(
             f"root not bracketed on [{lo:g}, {hi:g}]: {exc}") from exc

@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .distribution import cdf, cdf_asymptotic, quantile
+from .distribution import DistSpec, _validate_p, _validate_q, cdf, quantile
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
 from .numerics import MonotoneSpline, find_root
 
@@ -152,10 +152,7 @@ def _build_row(n, t_knots: np.ndarray) -> np.ndarray:
             continue
         q = _t_to_q(t)
         try:
-            if n == math.inf:
-                row[k] = cdf_asymptotic(q)
-            else:
-                row[k] = cdf(q, n, odd_exact_limit=_ODD_BUILD_LIMIT)
+            row[k] = cdf(q, n, odd_exact_limit=_ODD_BUILD_LIMIT)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"table build failed at n={n}, q={q:.6g}: {exc}") from exc
@@ -277,9 +274,7 @@ def interp_probability(table: QuantileTable, n, q) -> float:
     the left support edge at untabulated large n: 0.0040 at n = 616,
     q = 0.5098, and 0.0032 at n = 250, q = 0.52.
     """
-    q = float(q)
-    if not math.isfinite(q) or q < 0.0:
-        raise DomainError(f"quantile argument must be finite and >= 0, got {q}")
+    q = _validate_q(q)
     spline = _lookup_spline(table, n)
     t = q / (1.0 + q)
     return float(spline(t))
@@ -291,6 +286,10 @@ def _lookup_spline(table: QuantileTable, n) -> MonotoneSpline:
         return table._row_spline(table.sizes.index(n))
     if not (math.isfinite(n) and n == int(n) and n >= 3):
         raise DomainError(f"n must be an integer >= 3 or infinity, got {n}")
+    parity = "even" if n % 2 == 0 else "odd"
+    if parity != table.parity:
+        raise TableRangeError(f"n={int(n)} is {parity}; the {table.parity} "
+                              f"table serves only {table.parity} sizes")
     smallest = table.finite_sizes[0]
     if n < smallest:
         raise TableRangeError(
@@ -301,9 +300,7 @@ def _lookup_spline(table: QuantileTable, n) -> MonotoneSpline:
 
 def interp_quantile(table: QuantileTable, n, p) -> float:
     """Inverse lookup by root search on the probability spline."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie strictly inside (0, 1), got {p}")
+    p = _validate_p(p)
     spline = _lookup_spline(table, n)
     # restrict to the genuinely tabulated range t <= 0.8 (q <= 4)
     t_hi = 0.8
@@ -321,11 +318,6 @@ def multi_quantile_adjusted(n, p) -> float:
     value, treating the n per-observation statistics as independent. The
     approximation is excellent for n >= 6.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie strictly inside (0, 1), got {p}")
-    if not (isinstance(n, (int, float)) and math.isfinite(n) and n == int(n)
-            and n >= 3):
-        raise DomainError(f"n must be a finite integer >= 3, got {n!r}")
-    n = int(n)
+    p = _validate_p(p)
+    n = DistSpec.for_n(n).n
     return quantile(p ** (1.0 / n), n)

@@ -16,6 +16,7 @@ from msdstat import (
     conditional_cdf,
     conditional_pdf,
     conditional_sf,
+    multi_quantile_adjusted,
     quantile,
 )
 from msdstat.numerics import integrate
@@ -169,6 +170,21 @@ class TestDispatch:
         with pytest.raises(DomainError):
             cdf(1.0, 2)
 
+    def test_one_rule_for_n(self):
+        routes = {"cdf": lambda n: cdf(1.3, n),
+                  "quantile": lambda n: quantile(0.95, n),
+                  "multi_quantile_adjusted":
+                      lambda n: multi_quantile_adjusted(n, 0.95)}
+        for name, route in routes.items():
+            assert math.isfinite(route(np.int64(10))), name
+            for bad in (10.0, True, 2):
+                with pytest.raises(DomainError):
+                    route(bad)
+        assert cdf(1.3, math.inf) > 0.0
+        assert quantile(0.95, math.inf) > 0.0
+        with pytest.raises(DomainError):
+            multi_quantile_adjusted(math.inf, 0.95)
+
 
 class TestQuantile:
     def test_published_values(self):
@@ -184,6 +200,22 @@ class TestQuantile:
     def test_size_domain(self):
         with pytest.raises(DomainError):
             quantile(0.95, 2)
+
+    def test_no_repeated_cdf_evaluations(self, monkeypatch):
+        from msdstat import distribution
+
+        seen = []
+        exact = distribution.cdf
+
+        def recorder(q, n, **kwargs):
+            seen.append(q)
+            return exact(q, n, **kwargs)
+
+        monkeypatch.setattr(distribution, "cdf", recorder)
+        for n in (10, 13):
+            seen.clear()
+            distribution.quantile(0.95, n)
+            assert len(seen) == len(set(seen)), (n, sorted(seen))
 
     def test_roundtrip_full_range(self):
         props.check_quantile_roundtrip(sizes=range(4, 31),

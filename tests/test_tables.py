@@ -183,11 +183,28 @@ class TestInterpProbability:
     def test_range_errors(self):
         tab = default_table("even")
         with pytest.raises(TableRangeError):
-            interp_probability(tab, 3, 1.0)  # below smallest even size
+            interp_probability(tab, 3, 1.0)  # odd n in the even table
         with pytest.raises(DomainError):
             interp_probability(tab, 10, -0.2)
         with pytest.raises(DomainError):
             interp_probability(tab, 10.5, 1.0)
+
+    def test_wrong_parity_rejected(self):
+        even, odd = default_table("even"), default_table("odd")
+        with pytest.raises(TableRangeError, match="n=5 is odd"):
+            interp_probability(even, 5, quantile(0.95, 5))
+        with pytest.raises(TableRangeError, match="n=7 is odd"):
+            interp_quantile(even, 7, 0.95)
+        with pytest.raises(TableRangeError, match="n=8 is even"):
+            interp_quantile(odd, 8, 0.95)
+        with pytest.raises(TableRangeError, match="n=600 is even"):
+            interp_probability(odd, 600, 1.0)
+        # rows a table lists resolve whatever their parity
+        assert interp_probability(odd, 500, 1.0) == interp_probability(
+            even, 500, 1.0)
+        for tab in (even, odd):
+            assert interp_quantile(tab, math.inf, 0.95) == pytest.approx(
+                1.386, abs=1e-3)
 
 
 class TestInterpQuantile:
@@ -204,8 +221,12 @@ class TestInterpQuantile:
 
     def test_too_few_rows_to_synthesize(self):
         # cross-size rows need four finite rows inside the grid, two beyond
-        for max_n, n, rows in ((6, 5, 2), (4, 8, 1)):
-            tab = build_table("even", max_n=max_n)
+        full = default_table("even")
+        keep = [full.sizes.index(4), full.sizes.index(10), -1]
+        sparse = QuantileTable("even", (4.0, 10.0, math.inf), full.knots_t,
+                               full.probs[keep])
+        for tab, n, rows in ((sparse, 6, 2),
+                             (build_table("even", max_n=4), 8, 1)):
             with pytest.raises(TableRangeError,
                                match=rf"even table \({rows}\).*n={n}"):
                 interp_quantile(tab, n, 0.95)
