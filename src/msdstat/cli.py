@@ -28,6 +28,7 @@ from .simulation import (
 )
 from .statistic import msd
 from .tables import (
+    _observation_level,
     build_table,
     default_table,
     interp_quantile,
@@ -86,8 +87,8 @@ def _critical_value(n: int, p: float, mode: str, table):
     if table is None:
         return (multi_quantile_adjusted(n, p) if mode == "multiple"
                 else quantile(p, n))
-    return interp_quantile(table, n, p ** (1.0 / n) if mode == "multiple"
-                           else p)
+    return interp_quantile(table, n, _observation_level(p, n)
+                           if mode == "multiple" else p)
 
 
 def _dump_json(doc) -> str:

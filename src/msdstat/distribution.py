@@ -159,21 +159,30 @@ def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
     final probability.
     """
     const = 2.0 / special.beta(r, r)
+    a = np.abs(x0)[None, :]  # symmetric in x0
 
     def g(t):
+        # conditional_cdf, conditional_sf and conditional_pdf written out,
+        # so that each transcendental is taken once per element
         tc = t[:, None]
-        f_cdf = conditional_cdf(tc, x0[None, :])
-        sf1 = conditional_sf(tc, x0[None, :])
-        sf2 = conditional_sf(2.0 * q - tc, x0[None, :])
+        s = tc * _SQRT2
+        low = special.ndtr(-s - a)  # shared by F(t) and S(t)
+        f_cdf = special.ndtr(s - a) - low
+        sf1 = special.ndtr(a - s) + low
+        s2 = (2.0 * q - tc) * _SQRT2
+        sf2 = special.ndtr(a - s2) + special.ndtr(-a - s2)
         with np.errstate(divide="ignore", invalid="ignore"):
             # sf1 >= sf2 >= 0 on t <= q; diff = sf1^r - sf2^r without cancellation
-            ratio_log = r * (np.log(sf2) - np.log(sf1))
-            diff = np.where(sf1 > 0.0, -np.power(sf1, r) * np.expm1(ratio_log), 0.0)
+            log_sf1 = np.log(sf1)
+            ratio_log = r * (np.log(sf2) - log_sf1)
+            diff = np.where(sf1 > 0.0, -np.exp(r * log_sf1) * np.expm1(ratio_log), 0.0)
         if r > 1:
             body = np.power(f_cdf, r - 1) * diff
         else:
             body = diff
-        return const * body * conditional_pdf(tc, x0[None, :])
+        pdf = _SQRT2 * (np.exp(-0.5 * np.square(s - a))
+                        + np.exp(-0.5 * np.square(s + a))) / math.sqrt(2.0 * math.pi)
+        return const * body * pdf
 
     return integrate_batch(g, 0.0, q, tol=_ODD_INNER_TOL)
 

@@ -281,21 +281,20 @@ def interp_probability(table: QuantileTable, n, q) -> float:
 
 
 def _lookup_spline(table: QuantileTable, n) -> MonotoneSpline:
-    n = float(n)
-    if n in table.sizes:  # a tabulated size or the asymptotic row
-        return table._row_spline(table.sizes.index(n))
-    if not (math.isfinite(n) and n == int(n) and n >= 3):
-        raise DomainError(f"n must be an integer >= 3 or infinity, got {n}")
-    parity = "even" if n % 2 == 0 else "odd"
-    if parity != table.parity:
-        raise TableRangeError(f"n={int(n)} is {parity}; the {table.parity} "
+    if n == math.inf:
+        return table._row_spline(len(table.sizes) - 1)
+    spec = DistSpec.for_n(n)
+    if spec.n in table.sizes:
+        return table._row_spline(table.sizes.index(spec.n))
+    if spec.parity != table.parity:
+        raise TableRangeError(f"n={spec.n} is {spec.parity}; the {table.parity} "
                               f"table serves only {table.parity} sizes")
     smallest = table.finite_sizes[0]
-    if n < smallest:
+    if spec.n < smallest:
         raise TableRangeError(
-            f"n={int(n)} is below the smallest tabulated size {int(smallest)} "
+            f"n={spec.n} is below the smallest tabulated size {int(smallest)} "
             f"of the {table.parity} table")
-    return MonotoneSpline(table.knots_t, _synth_row(table, n))
+    return MonotoneSpline(table.knots_t, _synth_row(table, spec.n))
 
 
 def interp_quantile(table: QuantileTable, n, p) -> float:
@@ -311,6 +310,13 @@ def interp_quantile(table: QuantileTable, n, p) -> float:
     return _t_to_q(t_star)
 
 
+def _observation_level(p, n) -> float:
+    """Per-observation level p**(1/n) for the whole-dataset level p."""
+    p = _validate_p(p)
+    n = DistSpec.for_n(n).n
+    return p ** (1.0 / n)
+
+
 def multi_quantile_adjusted(n, p) -> float:
     """Critical value for the whole-dataset maximum via p1 = p**(1/n).
 
@@ -318,6 +324,4 @@ def multi_quantile_adjusted(n, p) -> float:
     value, treating the n per-observation statistics as independent. The
     approximation is excellent for n >= 6.
     """
-    p = _validate_p(p)
-    n = DistSpec.for_n(n).n
-    return quantile(p ** (1.0 / n), n)
+    return quantile(_observation_level(p, n), n)

@@ -20,6 +20,7 @@ from msdstat import (
     quantile,
 )
 from msdstat.numerics import integrate
+from msdstat.tables import default_table, interp_probability, interp_quantile
 
 import property_checks as props
 
@@ -171,17 +172,24 @@ class TestDispatch:
             cdf(1.0, 2)
 
     def test_one_rule_for_n(self):
+        even = default_table("even")
         routes = {"cdf": lambda n: cdf(1.3, n),
                   "quantile": lambda n: quantile(0.95, n),
                   "multi_quantile_adjusted":
-                      lambda n: multi_quantile_adjusted(n, 0.95)}
+                      lambda n: multi_quantile_adjusted(n, 0.95),
+                  "interp_quantile": lambda n: interp_quantile(even, n, 0.95),
+                  "interp_probability":
+                      lambda n: interp_probability(even, n, 1.3)}
         for name, route in routes.items():
             assert math.isfinite(route(np.int64(10))), name
             for bad in (10.0, True, 2):
-                with pytest.raises(DomainError):
+                # the error names n as the caller passed it
+                with pytest.raises(DomainError, match=f"got {bad!r}$"):
                     route(bad)
         assert cdf(1.3, math.inf) > 0.0
         assert quantile(0.95, math.inf) > 0.0
+        assert interp_quantile(even, math.inf, 0.95) > 0.0
+        assert interp_probability(even, math.inf, 1.3) > 0.0
         with pytest.raises(DomainError):
             multi_quantile_adjusted(math.inf, 0.95)
 

@@ -60,6 +60,47 @@ class TestIntegrateBatch:
         val = integrate_batch(f, 0.0, 3.0)
         assert abs(float(val[0]) - (1.0 - math.exp(-3.0))) < 1e-12
 
+    def test_each_abscissa_evaluated_once(self):
+        seen = []
+
+        def f(t):
+            seen.extend(t.tolist())
+            return np.exp(t)
+
+        integrate_batch(f, 0.0, 2.0)
+        assert len(set(seen)) == len(seen)
+        # nothing is thrown away: the abscissae are exactly the m + 1 nodes
+        # cos(pi j / m) of the level the result came from, mapped onto [0, 2]
+        m = len(seen) - 1
+        want = 1.0 + np.cos(np.pi * np.arange(m + 1) / m)
+        assert np.max(np.abs(np.sort(seen) - np.sort(want))) < 1e-14
+
+    def test_integrand_gets_one_positional_array(self):
+        calls = []
+
+        def f(*args, **kwargs):
+            calls.append((args, kwargs))
+            return np.cos(args[0])[:, None] * np.ones(3)
+
+        integrate_batch(f, 0.0, 1.0)
+        integrate_batch(f, 1.0, 1.0)
+        assert len(calls) >= 3
+        for args, kwargs in calls:
+            assert len(args) == 1 and not kwargs
+            assert isinstance(args[0], np.ndarray) and args[0].ndim == 1
+
+    def test_polynomial_degree_16_exact(self):
+        seen = []
+
+        def f(t):
+            seen.append(t.size)
+            return 3.0 * t ** 16 - 2.0 * t ** 9 + t ** 4 - 1.0
+
+        val = integrate_batch(f, -1.0, 1.0)
+        assert abs(float(val) - (6.0 / 17.0 + 2.0 / 5.0 - 2.0)) < 1e-13
+        # the first level, 17 nodes, is already exact; 16 more confirm it
+        assert sum(seen) == 33
+
     def test_node_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             integrate_batch(lambda t: np.sin(1e5 / (t + 1e-4)), 0.0, 1.0, tol=1e-12)

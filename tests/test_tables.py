@@ -301,16 +301,27 @@ def test_rebuild_independent_of_blas_kernel(tmp_path):
                OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    path = tmp_path / "msd_table_even.csv"
+    even, odd = tmp_path / "msd_table_even.csv", tmp_path / "odd_15.csv"
     subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
          "from msdstat.tables import build_table, save_table\n"
-         "save_table(build_table('even'), sys.argv[1])\n",
-         str(path)],
+         "save_table(build_table('even'), sys.argv[1])\n"
+         "save_table(build_table('odd', max_n=15), sys.argv[2])\n",
+         str(even), str(odd)],
         env=env, check=True)
-    bundled = resources.files("msdstat").joinpath("data/msd_table_even.csv")
-    assert path.read_bytes() == bundled.read_bytes()
+    data = resources.files("msdstat").joinpath("data")
+    assert even.read_bytes() == data.joinpath("msd_table_even.csv").read_bytes()
+    # the odd build, truncated to n <= 15 for time, must reproduce the
+    # bundled rows of those sizes and the asymptotic row bit for bit
+    rows = [line for line in odd.read_text().splitlines()
+            if not line.startswith("#")]
+    bundled = {line.partition(",")[0]: line for line in
+               data.joinpath("msd_table_odd.csv").read_text().splitlines()}
+    assert [r.partition(",")[0] for r in rows] == [
+        "knots", "3", "5", "7", "9", "11", "13", "15", "inf"]
+    for row in rows:
+        assert row == bundled[row.partition(",")[0]], row[:12]
 
 
 @pytest.mark.slow
