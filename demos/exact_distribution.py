@@ -9,7 +9,7 @@
 
 import math
 
-from msdstat import cdf, quantile
+from msdstat import cdf, cdf_odd, quantile
 
 # CDF evaluations for a mid-sized even dataset:
 
@@ -40,11 +40,10 @@ print(f"\nn=100: {quantile(0.95, 100):.4f}")
 print(f"n=inf: {quantile(0.95, math.inf):.4f}")
 
 
-# Above n = 99 the odd path is served by the even case at n + 1; the
-# approximation error is below 4e-5. The exact odd path can be forced for
-# verification:
+# Above n = 99 the odd path is served by the even case at n + 1. The
+# gap is below 1e-4 in probability, and below 4e-5 in q for p >= 0.8.
+# The exact odd CDF stays available as cdf_odd for verification:
 
-forced = quantile(0.95, 101, odd_exact_limit=101)
-served = quantile(0.95, 101)
-print(f"\nn=101 exact {forced:.6f} vs served {served:.6f} "
-      f"(diff {abs(forced - served):.1e})")
+print("\n q     exact n=101  served (n=102)")
+for q in (0.5, 1.0, 1.5):
+    print(f"{q:.1f}   {cdf_odd(q, 101):.6f}     {cdf(q, 101):.6f}")

@@ -11,10 +11,8 @@ from .statistic import (
     Dataset,
     MsdResult,
     Observation,
-    ScaledDifferenceRow,
     msd,
     pairwise_chisq,
-    scaled_differences,
 )
 from .distribution import (
     ASYMPTOTIC_LOWER_BOUND,
@@ -24,8 +22,6 @@ from .distribution import (
     cdf_even,
     cdf_odd,
     conditional_cdf,
-    conditional_pdf,
-    conditional_sf,
     quantile,
 )
 from .tables import (

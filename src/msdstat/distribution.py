@@ -14,8 +14,8 @@ the integral of that against the normal weight of x0.
 
 Even n leaves an odd count of differences and a regularized incomplete
 beta expression. Odd n leaves an even count, whose mean-of-central-order-
-statistics median needs one extra inner integral. Very large odd n is
-served by the next even case, which differs by less than 5e-5 in
+statistics median needs one extra inner integral. Odd n above 99 is
+served by the even case at n + 1, which differs by less than 1e-4 in
 probability.
 """
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .numerics import find_root, integrate, integrate_batch
 __all__ = [
     "DistSpec",
     "conditional_cdf",
-    "conditional_sf",
-    "conditional_pdf",
     "cdf_even",
     "cdf_odd",
     "cdf_asymptotic",
@@ -83,22 +81,6 @@ def conditional_cdf(d, x0):
     a = np.abs(x0)  # symmetric in x0
     s = d * _SQRT2
     return special.ndtr(s - a) - special.ndtr(-s - a)
-
-
-def conditional_sf(d, x0):
-    """Upper tail 1 - F(d | x0), in a form free of cancellation."""
-    d = np.asarray(d, dtype=float)
-    a = np.abs(x0)
-    s = d * _SQRT2
-    return special.ndtr(a - s) + special.ndtr(-a - s)
-
-
-def conditional_pdf(d, x0):
-    """Density of |D| given x0: sqrt(2) * (phi(x0 - d*sqrt(2)) + phi(x0 + d*sqrt(2)))."""
-    d = np.asarray(d, dtype=float)
-    a = np.abs(x0)
-    s = d * _SQRT2
-    return _SQRT2 * (_norm_pdf(s - a) + _norm_pdf(s + a))
 
 
 def _norm_pdf(z):
@@ -162,8 +144,9 @@ def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
     a = np.abs(x0)[None, :]  # symmetric in x0
 
     def g(t):
-        # conditional_cdf, conditional_sf and conditional_pdf written out,
-        # so that each transcendental is taken once per element
+        # the conditional CDF F(t), survival S(t) = 1 - F(t) (free of
+        # cancellation) and density f(t) of |D| written out, so that each
+        # transcendental is taken once per element
         tc = t[:, None]
         s = tc * _SQRT2
         low = special.ndtr(-s - a)  # shared by F(t) and S(t)
@@ -220,18 +203,23 @@ def cdf_asymptotic(q) -> float:
     return 2.0 * float(special.ndtr(x0_star)) - 1.0
 
 
-def cdf(q, n, *, odd_exact_limit: int = 99) -> float:
+# Odd n above this is served by the even case at n + 1, at runtime and
+# in the table build alike.
+_ODD_EXACT_LIMIT = 99
+
+
+def cdf(q, n) -> float:
     """P(Q_E <= q) for a dataset of size n; n may be math.inf.
 
-    Odd n above ``odd_exact_limit`` is served by the even case at n+1,
-    which for such n agrees within 5e-5 in probability.
+    Odd n above 99 is served by the even case at n + 1, which for such n
+    agrees within 1e-4 in probability; ``cdf_odd`` stays exact there.
     """
     if n == math.inf:
         return cdf_asymptotic(q)
     spec = DistSpec.for_n(n)
     if spec.parity == "even":
         return cdf_even(q, spec.n)
-    if spec.n <= odd_exact_limit:
+    if spec.n <= _ODD_EXACT_LIMIT:
         return cdf_odd(q, spec.n)
     return cdf_even(q, spec.n + 1)
 
@@ -239,10 +227,9 @@ def cdf(q, n, *, odd_exact_limit: int = 99) -> float:
 _QUANTILE_BRACKET_HI = 10.0
 
 
-def quantile(p, n, *, odd_exact_limit: int = 99) -> float:
+def quantile(p, n) -> float:
     """Inverse of ``cdf`` in q, accurate to better than 1e-6 in probability."""
     p = _validate_p(p)
     # the asymptotic CDF is flat at zero up to its support bound
     lo = ASYMPTOTIC_LOWER_BOUND + 1e-12 if n == math.inf else 0.0
-    return find_root(lambda q: cdf(q, n, odd_exact_limit=odd_exact_limit) - p,
-                     lo, _QUANTILE_BRACKET_HI)
+    return find_root(lambda q: cdf(q, n) - p, lo, _QUANTILE_BRACKET_HI)

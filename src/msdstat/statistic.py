@@ -18,9 +18,7 @@ from .errors import DataError
 __all__ = [
     "Observation",
     "Dataset",
-    "ScaledDifferenceRow",
     "MsdResult",
-    "scaled_differences",
     "msd",
     "pairwise_chisq",
 ]
@@ -83,18 +81,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ScaledDifferenceRow:
-    """Signed scaled differences of one subject against every partner."""
-
-    subject: int
-    differences: np.ndarray  # length n-1, partner order preserved, j == subject omitted
-
-    def __post_init__(self):
-        object.__setattr__(self, "differences",
-                           np.asarray(self.differences, dtype=float))
-
-
-@dataclass(frozen=True)
 class MsdResult:
     labels: tuple[str, ...]
     q_e: np.ndarray
@@ -139,9 +125,33 @@ def _mean_square(d: np.ndarray) -> np.ndarray:
     return (d * d).sum(axis=-1) / (n - 1)  # diagonal contributes zero
 
 
+# Inside 2**±500 the squares in u_i**2 + u_j**2 neither underflow nor overflow.
+_U_LO, _U_HI = 2.0 ** -500, 2.0 ** 500
+
+
+def _rescaled(x: np.ndarray, u: np.ndarray):
+    """Bring each dataset with a u outside 2**±500 back inside it.
+
+    Such a dataset's x and u are scaled by one power of two, the midpoint
+    of its largest and smallest u's exponents. A power-of-two scaling is
+    exact and cancels in every d_ij, so the dataset scores bit for bit
+    like its rescaled copy; every other input passes unchanged. A dataset
+    whose u span more than about 300 decades still under- or overflows.
+    """
+    lo = u.min(axis=-1, keepdims=True)
+    hi = u.max(axis=-1, keepdims=True)
+    outside = (lo < _U_LO) | (hi >= _U_HI)
+    if not outside.any():
+        return x, u
+    shift = np.where(outside, -((np.frexp(hi)[1] + np.frexp(lo)[1]) // 2), 0)
+    return np.ldexp(x, shift), np.ldexp(u, shift)
+
+
 def _sliced(kernel, x, u) -> np.ndarray:
     """Run ``kernel`` on the pair matrices of max(1, BUDGET // n**2)
     datasets at a time."""
+    x, u = _rescaled(np.asarray(x, dtype=float),
+                     np.atleast_1d(np.asarray(u, dtype=float)))
     x, u = np.broadcast_arrays(x, u)
     n = x.shape[-1]
     flat_x = x.reshape(-1, n)
@@ -166,14 +176,6 @@ def qe_values(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 def pwch_values(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Mean of squared scaled differences per observation (batch friendly)."""
     return _sliced(_mean_square, x, u)
-
-
-def scaled_differences(ds: Dataset) -> tuple[ScaledDifferenceRow, ...]:
-    """All signed scaled differences, one row per subject observation."""
-    d = pair_matrix(ds.values(), ds.uncertainties())
-    n = ds.n
-    keep = ~np.eye(n, dtype=bool)
-    return tuple(ScaledDifferenceRow(i, d[i][keep[i]]) for i in range(n))
 
 
 def msd(ds: Dataset) -> MsdResult:

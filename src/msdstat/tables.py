@@ -21,7 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .distribution import DistSpec, _validate_p, _validate_q, cdf, quantile
+from .distribution import (_ODD_EXACT_LIMIT, DistSpec, _validate_p, _validate_q,
+                           cdf, quantile)
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
 from .numerics import MonotoneSpline, find_root
 
@@ -48,14 +49,13 @@ EVEN_SIZES = tuple(range(4, 31, 2)) + (
     34, 40, 44, 50, 54, 60, 64, 70, 74, 80, 84, 90, 94, 100,
     500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000,
 )
-# Odd exact rows stop at 189; the large even rows are spliced on so that
-# cross-size interpolation keeps working up to the asymptotic endpoint.
-_ODD_EXACT = tuple(range(3, 30, 2)) + (35, 45, 55, 65, 75, 85, 95,
-                                       109, 129, 149, 169, 189)
+# Odd rows stop at 189 (``cdf`` serves those above 99 from the even case
+# at n + 1); the large even rows are spliced on so that cross-size
+# interpolation keeps working up to the asymptotic endpoint.
+_ODD_ROWS = tuple(range(3, 30, 2)) + (35, 45, 55, 65, 75, 85, 95,
+                                      109, 129, 149, 169, 189)
 _ODD_SPLICE = tuple(n for n in EVEN_SIZES if n > 189)
-ODD_SIZES = _ODD_EXACT + _ODD_SPLICE
-
-_ODD_BUILD_LIMIT = 189  # exact odd quadrature is used through this size
+ODD_SIZES = _ODD_ROWS + _ODD_SPLICE
 
 
 def knot_grid() -> np.ndarray:
@@ -152,7 +152,7 @@ def _build_row(n, t_knots: np.ndarray) -> np.ndarray:
             continue
         q = _t_to_q(t)
         try:
-            row[k] = cdf(q, n, odd_exact_limit=_ODD_BUILD_LIMIT)
+            row[k] = cdf(q, n)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"table build failed at n={n}, q={q:.6g}: {exc}") from exc
@@ -171,8 +171,9 @@ def save_table(table: QuantileTable, path) -> None:
         f"# parity: {table.parity}",
         "# grid: 49 knots regularly spaced in q/(1+q) on [0, 0.8], "
         "plus q = 0.674/sqrt(2) and q/(1+q) = 1",
-        "# size grid: decades 30..90 carry {n0, n0+4}; odd exact rows stop "
-        "at 189 with even rows spliced above",
+        "# size grid: decades 30..90 carry {n0, n0+4}; odd rows stop at 189 "
+        f"with even rows spliced above; odd n > {_ODD_EXACT_LIMIT} is the "
+        "even case at n + 1",
         "# build tolerances: even quadrature 1e-9; odd inner 1e-10, outer 1e-8",
         "# columns: n, then one probability per knot",
         "knots," + ",".join(repr(float(t)) for t in table.knots_t),

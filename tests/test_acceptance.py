@@ -14,7 +14,8 @@ import numpy as np
 
 from msdstat.bootstrap import BootstrapConfig, bootstrap_msd
 from msdstat.datasets import conductivity_study
-from msdstat.distribution import cdf_even, quantile
+from msdstat.distribution import cdf_even, cdf_odd, quantile
+from msdstat.numerics import find_root
 from msdstat.simulation import (
     simulate_hetero_guideline,
     simulate_multi_quantiles,
@@ -69,7 +70,7 @@ def test_c02_asymptotic_row():
 def test_c03_odd_to_even_approximation():
     with verdict("C3 odd/next-even agreement (<4e-5 for p>=0.8)"):
         for p in (0.8, 0.9, 0.95, 0.99):
-            exact_odd = quantile(p, 101, odd_exact_limit=101)
+            exact_odd = find_root(lambda q: cdf_odd(q, 101) - p, 0.0, 10.0)
             next_even = quantile(p, 102)
             assert abs(exact_odd - next_even) < 4e-5, p
 

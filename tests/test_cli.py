@@ -153,20 +153,22 @@ class TestAnalyze:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_structured_output_is_strict_json(self, runner, tmp_path):
-        # u = 1e-200 squares to zero: the scores come out inf, or nan for
-        # equal values, and JSON has no literal for either
+        # u spanning 620 decades is beyond any one rescaling: the
+        # tiny-u pairs still divide by zero, so their scores come out inf
+        # and their bootstrap quantiles nan, and JSON has no literal for
+        # either
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
-        path = tmp_path / "tiny.csv"
-        for values, want in (((1.0, 2.0, 3.0, 10.0), "inf"),
-                             ((1.0, 1.0, 1.0, 1.0), "nan")):
-            path.write_text("lab,value,u\n" + "".join(
-                f"L{i},{v},1e-200\n" for i, v in enumerate(values)))
-            result = invoke(runner, ["analyze", str(path), "--bootstrap",
-                                     "200", "--format", "structured"])
-            doc = json.loads(result.output, parse_constant=reject)
-            assert [row["q_e"] for row in doc["results"]] == [want] * 4
+        path = tmp_path / "span.csv"
+        path.write_text("lab,value,u\nL0,1.0,1e-320\nL1,2.0,1e-320\n"
+                        "L2,3.0,1e-320\nL3,10.0,1e300\n")
+        result = invoke(runner, ["analyze", str(path), "--bootstrap", "200",
+                                 "--format", "structured"])
+        doc = json.loads(result.output, parse_constant=reject)
+        assert [row["q_e"] for row in doc["results"]] == ["inf"] * 3 + [0.0]
+        assert doc["results"][0]["bootstrap"]["quantiles"] == {
+            "0.95": "nan", "0.99": "nan"}
 
     def test_partial_tables_exit_3(self, runner, tmp_path):
         tdir = tmp_path / "tables"

@@ -14,12 +14,9 @@ from msdstat import (
     cdf_even,
     cdf_odd,
     conditional_cdf,
-    conditional_pdf,
-    conditional_sf,
     multi_quantile_adjusted,
     quantile,
 )
-from msdstat.numerics import integrate
 from msdstat.tables import default_table, interp_probability, interp_quantile
 
 import property_checks as props
@@ -67,24 +64,9 @@ class TestConditionalKernel:
             assert np.all(np.diff(f) >= 0)
             assert f[-1] > 1 - 1e-12
 
-    def test_sf_complements_cdf(self):
-        rng = np.random.default_rng(0)
-        d = rng.uniform(0, 4, 50)
-        x0 = rng.uniform(-3, 3, 50)
-        total = conditional_cdf(d, x0) + conditional_sf(d, x0)
-        assert np.max(np.abs(total - 1.0)) < 1e-13
-
     def test_symmetry_in_x0(self):
         d = np.linspace(0.1, 3.0, 7)
         assert np.array_equal(conditional_cdf(d, 1.3), conditional_cdf(d, -1.3))
-        assert np.array_equal(conditional_sf(d, 0.4), conditional_sf(d, -0.4))
-
-    def test_density_nonnegative_and_integrates_to_cdf(self):
-        for x0 in (0.0, 1.0, 2.2):
-            d = np.linspace(0, 5, 100)
-            assert np.all(conditional_pdf(d, x0) >= 0)
-            mass = integrate(lambda t: conditional_pdf(t, x0), 0.0, 2.0)
-            assert abs(mass - conditional_cdf(2.0, x0)) < 1e-9
 
     def test_negative_difference_rejected(self):
         with pytest.raises(DomainError):
@@ -160,12 +142,13 @@ class TestDispatch:
     def test_large_odd_uses_next_even(self):
         q = 1.17
         assert cdf(q, 101) == cdf_even(q, 102)
-        assert cdf(q, 101, odd_exact_limit=101) == cdf_odd(q, 101)
 
     def test_substitution_error_is_small(self):
-        q = quantile(0.95, 101)
-        gap = abs(cdf_odd(q, 101) - cdf_even(q, 102))
-        assert gap < 1e-4
+        # the bound ``cdf`` states for odd n above 99; the gap peaks at
+        # 9.5e-5 near q = 0.5, just right of the limiting support bound
+        for q in np.linspace(0.45, 2.5, 42):
+            gap = abs(cdf_odd(q, 101) - cdf_even(q, 102))
+            assert gap < 1e-4, q
 
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):

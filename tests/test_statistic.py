@@ -1,16 +1,18 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from msdstat import (
+    BootstrapConfig,
     DataError,
     Dataset,
     Observation,
+    bootstrap_msd,
     msd,
     pairwise_chisq,
-    scaled_differences,
 )
 from msdstat.statistic import BUDGET, pair_matrix, pwch_values, qe_values
 
@@ -109,21 +111,11 @@ class TestScaledDifferences:
         assert abs(d[i, j] - (-0.49005236871761737)) < 1e-12
         assert abs(d[i, j] - (-0.490)) < 1e-3
 
-    def test_rows_match_matrix(self):
-        ds = study()
-        d = pair_matrix(ds.values(), ds.uncertainties())
-        rows = scaled_differences(ds)
-        assert len(rows) == ds.n
-        for i, row in enumerate(rows):
-            assert row.subject == i
-            assert row.differences.shape == (ds.n - 1,)
-            manual = np.delete(d[i], i)
-            assert np.array_equal(row.differences, manual)
-
     def test_hand_computed_row(self):
         # equal uncertainties 1: sqrt(2) in every denominator
-        ds = Dataset.from_arrays("ABCD", (0.0, 1.0, 3.0, 10.0), (1.0,) * 4)
-        row = scaled_differences(ds)[0].differences
+        d = pair_matrix(np.array([0.0, 1.0, 3.0, 10.0]), np.ones(4))
+        assert d[0, 0] == 0.0
+        row = d[0, 1:]  # partners in order, the diagonal removed
         want = np.array([-1.0, -3.0, -10.0]) / math.sqrt(2.0)
         assert np.max(np.abs(row - want)) < 1e-15
 
@@ -228,6 +220,43 @@ class TestBatchSlices:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("k", [700, -700])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # scaled past 2**±500, the squared uncertainties would under- or
+        # overflow; the scores must equal the unscaled ones bit for bit
+        rng = np.random.default_rng(k % 7)
+        x = rng.normal(size=(9, 6))
+        for u in (rng.uniform(0.5, 2.0, size=6),
+                  rng.uniform(0.5, 2.0, size=(9, 6))):
+            s = 2.0 ** k
+            assert np.array_equal(qe_values(x * s, u * s), qe_values(x, u))
+            assert np.array_equal(pwch_values(x * s, u * s), pwch_values(x, u))
+
+    def test_one_extreme_dataset_in_a_batch(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, 6))
+        u = rng.uniform(0.5, 2.0, size=(4, 6))
+        xs, us = x.copy(), u.copy()
+        xs[1] *= 2.0 ** -700
+        us[1] *= 2.0 ** -700
+        assert np.array_equal(qe_values(xs, us), qe_values(x, u))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_tiny_and_huge_uncertainties_score_finitely(self, scale):
+        ds = Dataset.from_arrays("ABCD", np.array([1.0, 3.0, -2.0, 5.0]) * scale,
+                                 (scale,) * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = msd(ds).q_e
+            chisq = [s for _, s in pairwise_chisq(ds)]
+            report = bootstrap_msd(ds, BootstrapConfig(replicates=200))
+        want = qe_values(np.array([1.0, 3.0, -2.0, 5.0]), np.ones(4))
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(chisq))
+        assert all(np.all(np.isfinite(row.quantiles)) for row in report.rows)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestMonotoneResponse:
