@@ -38,7 +38,6 @@ from .simulation import (
     HeteroStudy,
     PowerCurve,
     QuantileEstimate,
-    SimConfig,
     calibrate_pwch_quantile,
     simulate_hetero_guideline,
     simulate_multi_quantiles,

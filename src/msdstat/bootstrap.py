@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .simulation import _blocks, _stream
+from .simulation import _blocks, _check_int, _check_levels
 from .statistic import Dataset, qe_values
 
 __all__ = [
@@ -36,17 +36,12 @@ class BootstrapConfig:
     levels: tuple[float, ...] = (0.95, 0.99)
 
     def __post_init__(self):
-        if not (isinstance(self.replicates, int) and self.replicates >= 100):
-            raise DataError(
-                f"replicates must be an integer >= 100, got {self.replicates!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
-            raise DataError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        levels = tuple(float(p) for p in self.levels)
+        _check_int("replicates", self.replicates, "an integer >= 100", 100)
+        _check_int("seed", self.seed, "a 64-bit integer", 0, 2 ** 64)
+        levels = _check_levels(self.levels)
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise DataError("need at least one quantile level")
-        if any(not 0.0 < p < 1.0 for p in levels):
-            raise DataError("quantile levels must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DataError("quantile levels must be strictly increasing")
 
@@ -155,8 +150,8 @@ def bootstrap_msd(ds: Dataset, cfg: BootstrapConfig = BootstrapConfig()
     u = ds.uncertainties()
     observed = qe_values(ds.values(), u)
     sims = np.concatenate([
-        qe_values(_stream(cfg.seed, (b,)).standard_normal((c, ds.n)) * u, u)
-        for b, c in _blocks(cfg.replicates)])
+        qe_values(rng.standard_normal((c, ds.n)) * u, u)
+        for rng, c in _blocks(cfg.seed, cfg.replicates)])
     counts = (sims >= observed).sum(axis=0)
     raw = tuple(
         PValue(max(int(k), 1) / cfg.replicates, is_upper_bound=bool(k == 0))

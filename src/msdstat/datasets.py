@@ -5,20 +5,17 @@ The interchange format is deliberately plain: comma-separated text with a
 """
 from __future__ import annotations
 
-import math
 from importlib import resources
 from pathlib import Path
 
 from .errors import DataError
-from .statistic import Dataset
+from .statistic import Dataset, Observation
 
 _HEADER = ("lab", "value", "u")
 
 
 def _parse_study(lines, origin: str) -> Dataset:
-    labels: list[str] = []
-    values: list[float] = []
-    uncerts: list[float] = []
+    observations: dict[str, Observation] = {}
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -46,17 +43,18 @@ def _parse_study(lines, origin: str) -> Dataset:
             raise DataError(
                 f"{origin}:{lineno}: value and u must be decimal numbers, "
                 f"got {value_text!r}, {u_text!r}") from None
-        if not (math.isfinite(value) and math.isfinite(u) and u > 0):
-            raise DataError(
-                f"{origin}:{lineno}: value must be finite and u positive and "
-                f"finite, got {value_text!r}, {u_text!r}")
-        labels.append(lab)
-        values.append(value)
-        uncerts.append(u)
+        if lab in observations:
+            raise DataError(f"{origin}:{lineno}: duplicate labels: {lab}")
+        try:
+            observations[lab] = Observation(lab, value, u)
+        except DataError as exc:
+            raise DataError(f"{origin}:{lineno}: {exc}") from None
     if not header_seen:
         raise DataError(f"{origin}: missing 'lab,value,u' header")
-    # duplicate labels and the 3-row minimum are rejected here too
-    return Dataset.from_arrays(labels, values, uncerts)
+    try:
+        return Dataset(tuple(observations.values()))
+    except DataError as exc:
+        raise DataError(f"{origin}: {exc}") from None
 
 
 def load_study(path) -> Dataset:

@@ -1,10 +1,12 @@
 """Seeded Monte Carlo experiments: critical values, power, and guidelines.
 
-Replicates are partitioned into fixed blocks of 4096. Each block draws
-from its own counter-based stream derived from (seed, block index), and
-grid experiments key streams by (grid point, block). Results therefore
-depend only on the configuration, never on scheduling or worker count,
-and any block can be recomputed in isolation.
+Replicates are partitioned into fixed blocks of 4096. Block b of a run
+draws from its own counter-based stream: a Philox generator seeded by
+numpy's seed sequence with entropy ``seed`` and spawn key ``key + (b,)``.
+The key is empty for a single run, bootstrap.bootstrap_msd included, and
+is (j,) for grid point or dataset size j. Results therefore depend only
+on the arguments, never on scheduling or worker count, and any block can
+be recomputed in isolation.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from .statistic import pwch_values, qe_values
 
 __all__ = [
     "BLOCK",
-    "SimConfig",
     "PowerCurve",
     "QuantileEstimate",
     "HeteroStudy",
@@ -34,22 +35,28 @@ BLOCK = 4096
 _STATISTICS = {"msd": qe_values, "pwch": pwch_values}
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Common run parameters; equal configs give bit-identical results."""
+def _check_int(name: str, value, rule: str, lo: int, hi: float = math.inf):
+    if not (isinstance(value, int) and lo <= value < hi):
+        raise DataError(f"{name} must be {rule}, got {value!r}")
 
-    n: int
-    replicates: int
-    seed: int
 
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 3):
-            raise DataError(f"n must be an integer >= 3, got {self.n!r}")
-        if not (isinstance(self.replicates, int) and self.replicates >= 1):
-            raise DataError(
-                f"replicates must be a positive integer, got {self.replicates!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
-            raise DataError(f"seed must be a 64-bit integer, got {self.seed!r}")
+def _check_levels(ps) -> tuple[float, ...]:
+    ps = tuple(float(p) for p in ps)
+    if any(not 0.0 < p < 1.0 for p in ps):
+        raise DataError("quantile levels must lie strictly inside (0, 1)")
+    return ps
+
+
+def _blocks(seed: int, replicates: int, key: tuple[int, ...] = ()):
+    """Check the run arguments, then lazily yield (generator, count) for
+    each block of the stream the module docstring describes."""
+    _check_int("replicates", replicates, "a positive integer", 1)
+    _check_int("seed", seed, "a 64-bit integer", 0, 2 ** 64)
+    full, rem = divmod(replicates, BLOCK)
+    return ((np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=key + (b,)))),
+             BLOCK if b < full else rem)
+            for b in range(full + (rem > 0)))
 
 
 @dataclass(frozen=True)
@@ -74,10 +81,6 @@ class PowerCurve:
     replicates: int
     seed: int
 
-    def __post_init__(self):
-        if np.any(self.proportion < 0.0) or np.any(self.proportion > 1.0):
-            raise DataError("proportions must lie in [0, 1]")
-
 
 @dataclass(frozen=True)
 class HeteroStudy:
@@ -92,33 +95,6 @@ class HeteroStudy:
     seed: int
 
 
-def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-def _blocks(replicates: int):
-    full, rem = divmod(replicates, BLOCK)
-    for b in range(full):
-        yield b, BLOCK
-    if rem:
-        yield full, rem
-
-
-def _validate_stat(statistic: str):
-    if statistic not in _STATISTICS:
-        raise DataError(
-            f"statistic must be one of {sorted(_STATISTICS)}, got {statistic!r}")
-    return _STATISTICS[statistic]
-
-
-def _quantile_floor(replicates: int):
-    if replicates < 1000:
-        raise DataError(
-            f"replicates={replicates} is too few for quantile estimation; "
-            "need at least 1000")
-
-
 def _bracket_se(sorted_vals: np.ndarray, p: float) -> float:
     # one-sigma order-statistic bracket around the p-th sample quantile
     r = sorted_vals.size
@@ -128,10 +104,19 @@ def _bracket_se(sorted_vals: np.ndarray, p: float) -> float:
     return 0.5 * float(sorted_vals[hi] - sorted_vals[lo])
 
 
-def _dataset_maxima_block(seed: int, n: int, block: int, count: int) -> np.ndarray:
-    rng = _stream(seed, (block,))
-    z = rng.standard_normal((count, n))
-    return qe_values(z, np.ones(n)).max(axis=1)
+def _null_pool(kernel, n: int, ps, replicates: int, seed: int):
+    """Checked levels, and ``kernel``'s values pooled over every replicate
+    of an all-null study of size n."""
+    _check_int("n", n, "an integer >= 3", 3)
+    blocks = _blocks(seed, replicates)
+    if replicates < 1000:
+        raise DataError(
+            f"replicates={replicates} is too few for quantile estimation; "
+            "need at least 1000")
+    ps = _check_levels(ps)
+    u = np.ones(n)
+    return ps, np.concatenate([kernel(rng.standard_normal((c, n)), u)
+                               for rng, c in blocks])
 
 
 def simulate_multi_quantiles(n: int, ps, replicates: int,
@@ -141,14 +126,8 @@ def simulate_multi_quantiles(n: int, ps, replicates: int,
     One row of the multiple-observation critical value table: a proportion
     p of null datasets contain no statistic above the returned values.
     """
-    cfg = SimConfig(n, replicates, seed)
-    _quantile_floor(replicates)
-    ps = [float(p) for p in ps]
-    if any(not 0.0 < p < 1.0 for p in ps):
-        raise DataError("quantile levels must lie strictly inside (0, 1)")
-    maxima = np.concatenate([
-        _dataset_maxima_block(cfg.seed, cfg.n, b, c)
-        for b, c in _blocks(cfg.replicates)])
+    ps, maxima = _null_pool(lambda z, u: qe_values(z, u).max(axis=1),
+                            n, ps, replicates, seed)
     maxima.sort()
     out = []
     for p in ps:
@@ -159,28 +138,28 @@ def simulate_multi_quantiles(n: int, ps, replicates: int,
 
 def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
                      critical: float, contaminated_index: int) -> PowerCurve:
-    stat_fn = _validate_stat(statistic)
-    cfg = SimConfig(n, replicates, seed)
+    if statistic not in _STATISTICS:
+        raise DataError(
+            f"statistic must be one of {sorted(_STATISTICS)}, got {statistic!r}")
+    stat_fn = _STATISTICS[statistic]
+    _check_int("n", n, "an integer >= 3", 3)
     if not (math.isfinite(critical) and critical > 0):
         raise DataError(f"critical value must be positive, got {critical}")
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise DataError("displacement grid must be non-empty and finite")
-    if contaminated_index >= n:
-        raise DataError(f"dataset size {n} has no index {contaminated_index}")
     u = np.ones(n)
     counts = np.zeros(grid.size, dtype=np.int64)
     for j, delta in enumerate(grid):
-        for b, c in _blocks(cfg.replicates):
-            rng = _stream(cfg.seed, (j, b))
+        for rng, c in _blocks(seed, replicates, (j,)):
             z = rng.standard_normal((c, n))
             z[:, contaminated_index] += delta
             subject = stat_fn(z, u)[:, 0]
             counts[j] += int((subject > critical).sum())
-    prop = counts / cfg.replicates
-    se = np.sqrt(prop * (1.0 - prop) / cfg.replicates)
+    prop = counts / replicates
+    se = np.sqrt(prop * (1.0 - prop) / replicates)
     return PowerCurve(statistic, grid, prop, se, float(critical),
-                      cfg.n, cfg.replicates, cfg.seed)
+                      n, replicates, seed)
 
 
 def simulate_power(statistic: str, n: int, grid, replicates: int, seed: int,
@@ -220,33 +199,25 @@ def simulate_hetero_guideline(sizes, replicates: int, seed: int) -> HeteroStudy:
     for n in sizes:
         if not 5 <= n <= 25:
             raise DataError(f"guideline study covers sizes 5..25, got {n}")
-    if not (isinstance(replicates, int) and replicates >= 1):
-        raise DataError(
-            f"replicates must be a positive integer, got {replicates!r}")
-    value_rate = np.empty(len(sizes))
-    value_se = np.empty(len(sizes))
-    dataset_rate = np.empty(len(sizes))
-    dataset_se = np.empty(len(sizes))
+    value_hits = np.zeros(len(sizes), dtype=np.int64)
+    dataset_hits = np.zeros(len(sizes), dtype=np.int64)
     for j, n in enumerate(sizes):
-        value_hits = 0
-        dataset_hits = 0
-        for b, c in _blocks(replicates):
-            rng = _stream(seed, (j, b))
+        for rng, c in _blocks(seed, replicates, (j,)):
             z3 = rng.standard_normal((c, n, 3))
             v = (z3 * z3).sum(axis=-1)
             u = np.sqrt(v)
             z = rng.standard_normal((c, n))
             x = u * z
             qe = qe_values(x, u)
-            value_hits += int((qe > 2.0).sum())
-            dataset_hits += int((qe > 2.5).any(axis=1).sum())
-        value_rate[j] = value_hits / (replicates * n)
-        value_se[j] = math.sqrt(value_rate[j] * (1 - value_rate[j])
-                                / (replicates * n))
-        dataset_rate[j] = dataset_hits / replicates
-        dataset_se[j] = math.sqrt(dataset_rate[j] * (1 - dataset_rate[j])
-                                  / replicates)
-    return HeteroStudy(sizes, value_rate, value_se, dataset_rate, dataset_se,
+            value_hits[j] += int((qe > 2.0).sum())
+            dataset_hits[j] += int((qe > 2.5).any(axis=1).sum())
+    value_count = replicates * np.array(sizes)
+    value_rate = value_hits / value_count
+    dataset_rate = dataset_hits / replicates
+    return HeteroStudy(sizes, value_rate,
+                       np.sqrt(value_rate * (1 - value_rate) / value_count),
+                       dataset_rate,
+                       np.sqrt(dataset_rate * (1 - dataset_rate) / replicates),
                        replicates, seed)
 
 
@@ -257,13 +228,6 @@ def calibrate_pwch_quantile(n: int, p: float, replicates: int,
     Pools every observation's comparator value across replicates of an
     all-null study and returns the empirical p-quantile of the pool.
     """
-    cfg = SimConfig(n, replicates, seed)
-    _quantile_floor(replicates)
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DataError(f"quantile level must lie strictly inside (0, 1), got {p}")
-    u = np.ones(n)
-    pool = np.concatenate([
-        pwch_values(_stream(cfg.seed, (b,)).standard_normal((c, n)), u).ravel()
-        for b, c in _blocks(cfg.replicates)])
+    (p,), pool = _null_pool(lambda z, u: pwch_values(z, u).ravel(),
+                            n, (p,), replicates, seed)
     return float(np.quantile(pool, p, method="linear"))

@@ -110,7 +110,7 @@ def _median_abs(d: np.ndarray) -> np.ndarray:
     n = d.shape[-1]
     a = np.abs(d)
     idx = np.arange(n)
-    a[..., idx, idx] = np.inf  # push the self-pair past every real difference
+    a[..., idx, idx] = np.nan  # partition sorts nan last, past every difference
     m = n - 1
     half = m // 2
     if m % 2:

@@ -137,15 +137,16 @@ def check_table_validation_points():
 def check_mc_determinism():
     # equal configs must agree bit for bit, and results must not depend on
     # the order the replicate blocks are evaluated in
-    from msdstat.simulation import (_blocks, _dataset_maxima_block,
-                                    simulate_multi_quantiles, simulate_power)
+    from msdstat.simulation import (_blocks, simulate_multi_quantiles,
+                                    simulate_power)
 
     first = simulate_multi_quantiles(5, (0.9, 0.95), 1500, seed=11)
     again = simulate_multi_quantiles(5, (0.9, 0.95), 1500, seed=11)
     assert first == again
-    blocks = list(_blocks(6000))
-    shuffled = {b: _dataset_maxima_block(11, 5, b, c) for b, c in reversed(blocks)}
-    maxima = np.sort(np.concatenate([shuffled[b] for b, c in blocks]))
+    blocks = list(enumerate(_blocks(11, 6000)))
+    shuffled = {b: qe_values(rng.standard_normal((c, 5)), np.ones(5)).max(axis=1)
+                for b, (rng, c) in reversed(blocks)}
+    maxima = np.sort(np.concatenate([shuffled[b] for b, _ in blocks]))
     direct = simulate_multi_quantiles(5, (0.9,), 6000, seed=11)[0]
     assert float(np.quantile(maxima, 0.9, method="linear")) == direct.value
 

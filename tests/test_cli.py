@@ -63,10 +63,10 @@ class TestStudyFiles:
     def test_dataset_rules_still_apply(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("lab,value,u\na,1.0,0.5\na,2.0,0.5\nb,3.0,0.5\n")
-        with pytest.raises(DataError, match="duplicate"):
+        with pytest.raises(DataError, match="bad.csv:3: duplicate labels: a"):
             load_study(path)
         path.write_text("lab,value,u\na,1.0,0.5\nb,2.0,0.5\n")
-        with pytest.raises(DataError, match="at least 3"):
+        with pytest.raises(DataError, match="bad.csv: need at least 3"):
             load_study(path)
 
     def test_missing_header(self, tmp_path):
@@ -343,6 +343,32 @@ class TestSimulateCmds:
         result = runner.invoke(entrypoint, ["simulate", "hetero", "--sizes",
                                             "4,15"])
         assert result.exit_code == 3
+
+
+    def test_bad_seed_and_replicates_exit_3(self, runner, study_path):
+        # every seeded command, the flags that ask for too few replicates,
+        # and the message they get
+        study = str(study_path)
+        floor = "replicates must be an integer >= 100, got 99"
+        positive = "replicates must be a positive integer, got 0"
+        commands = [
+            (["analyze", study, "--bootstrap", "500"], ["--bootstrap", "99"],
+             floor),
+            (["bootstrap", study], ["-B", "99"], floor),
+            (["simulate", "table3", "--n", "5", "--replicates", "1000"],
+             ["--replicates", "999"], "replicates=999 is too few for quantile "
+             "estimation; need at least 1000"),
+            (["simulate", "power"], ["--replicates", "0"], positive),
+            (["simulate", "resistance"], ["--replicates", "0"], positive),
+            (["simulate", "hetero"], ["--replicates", "0"], positive),
+        ]
+        for args, few, message in commands:
+            cases = [(["--seed", s], f"seed must be a 64-bit integer, got {s}")
+                     for s in ("-1", str(2 ** 64))]
+            for extra, want in cases + [(few, message)]:
+                result = runner.invoke(entrypoint, args + extra)
+                assert (result.exit_code, result.output) == (
+                    3, f"error: {want}\n"), args + extra
 
 
 class TestBootstrapCmd:

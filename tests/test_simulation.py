@@ -4,31 +4,47 @@ import pytest
 
 import property_checks as props
 from msdstat import DataError, quantile
+from msdstat.bootstrap import BootstrapConfig, bootstrap_msd
 from msdstat.simulation import (
-    SimConfig,
     calibrate_pwch_quantile,
     simulate_hetero_guideline,
     simulate_multi_quantiles,
     simulate_power,
     simulate_resistance,
 )
+from msdstat.statistic import Dataset
+
+
+def _runs(n=10, replicates=1000, seed=0):
+    """Calls of every public simulation with the given run arguments;
+    the last one, the guideline study, takes no n."""
+    return (
+        lambda: simulate_multi_quantiles(n, (0.95,), replicates, seed),
+        lambda: calibrate_pwch_quantile(n, 0.95, replicates, seed),
+        lambda: simulate_power("msd", n, (0.0,), replicates, seed, 1.5),
+        lambda: simulate_resistance("msd", n, (0.0,), replicates, seed, 1.5),
+        lambda: simulate_hetero_guideline((5,), replicates, seed),
+    )
 
 
 class TestConfig:
     def test_rejects_bad_n(self):
         for n in (2, 0, -4, 3.0, "10", True):
-            with pytest.raises(DataError):
-                SimConfig(n, 1000, 0)
+            for run in _runs(n=n)[:-1]:
+                with pytest.raises(DataError, match="n must be an integer"):
+                    run()
 
     def test_rejects_bad_replicates(self):
         for r in (0, -1, 10.5, None):
-            with pytest.raises(DataError):
-                SimConfig(10, r, 0)
+            for run in _runs(replicates=r):
+                with pytest.raises(DataError, match="replicates must be"):
+                    run()
 
     def test_rejects_bad_seed(self):
         for s in (-1, 2 ** 64, 1.5):
-            with pytest.raises(DataError):
-                SimConfig(10, 1000, s)
+            for run in _runs(seed=s):
+                with pytest.raises(DataError, match="seed must be"):
+                    run()
 
     def test_unknown_statistic(self):
         with pytest.raises(DataError):
@@ -157,3 +173,50 @@ class TestComparatorCalibration:
 class TestInvariants:
     def test_determinism_and_block_order(self):
         props.check_mc_determinism()
+
+
+def _generator(seed, key):
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _sorted_qe(x, u):
+    """Reference statistic: sort |d_ij| over the partners j != i."""
+    rows, n = x.shape
+    d = (np.abs(x[:, :, None] - x[:, None, :])
+         / np.sqrt(u[:, None] ** 2 + u[None, :] ** 2))
+    a = np.sort(d[:, ~np.eye(n, dtype=bool)].reshape(rows, n, n - 1), axis=-1)
+    half = (n - 1) // 2
+    return a[..., half] if n % 2 == 0 else 0.5 * (a[..., half - 1] + a[..., half])
+
+
+class TestStreamLayout:
+    # Block b of a run draws from Philox(SeedSequence(seed, spawn_key=key +
+    # (b,))), as msdstat.simulation documents and bench/worker.py assumes;
+    # 4200 and 5000 replicates make one full block of 4096 and a partial one.
+    def test_bootstrap_recomputed_from_streams(self):
+        ds = Dataset.from_arrays("abcde", [0.1, -0.4, 0.0, 1.2, 0.3],
+                                 [1.0, 0.5, 2.0, 1.5, 0.8])
+        report = bootstrap_msd(ds, BootstrapConfig(replicates=4200, seed=17))
+        u = ds.uncertainties()
+        observed = _sorted_qe(ds.values()[None, :], u)[0]
+        sims = np.concatenate([
+            _sorted_qe(_generator(17, (b,)).standard_normal((c, 5)) * u, u)
+            for b, c in ((0, 4096), (1, 104))])
+        counts = (sims >= observed).sum(axis=0)
+        quantiles = np.quantile(sims, (0.95, 0.99), axis=0, method="linear")
+        for i, row in enumerate(report.rows):
+            assert row.statistic == observed[i]
+            assert row.p_raw.value == max(counts[i], 1) / 4200
+            assert row.quantiles == tuple(quantiles[:, i])
+
+    def test_power_count_recomputed_from_streams(self):
+        curve = simulate_power("msd", 5, (0.0, 1.0), 5000, seed=7,
+                               critical=1.0)
+        for j, delta in enumerate((0.0, 1.0)):
+            count = 0
+            for b, c in ((0, 4096), (1, 904)):
+                z = _generator(7, (j, b)).standard_normal((c, 5))
+                z[:, 0] += delta
+                count += int((_sorted_qe(z, np.ones(5))[:, 0] > 1.0).sum())
+            assert curve.proportion[j] == count / 5000

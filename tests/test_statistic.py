@@ -258,6 +258,13 @@ class TestExtremeScales:
         assert all(np.all(np.isfinite(row.quantiles)) for row in report.rows)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_tied_values_whose_u_square_to_zero_score_nan(self):
+        # three labs' pairs are 0/0; the self-pair must not stand in for
+        # their median
+        with np.errstate(all="ignore"):
+            got = qe_values(np.ones(4), np.array([1e-320] * 3 + [1e300]))
+        assert np.isnan(got[:3]).all() and got[3] == 0.0
+
 
 class TestMonotoneResponse:
     def test_subject_statistic_grows_with_displacement(self):
