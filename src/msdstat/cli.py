@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -291,13 +292,12 @@ def tables_generate(parity, out, max_n):
 
 def _parse_grid(ctx, param, value):
     try:
-        parts = [float(t) for t in value.split(":")]
-        lo, hi, step = parts
-        if step <= 0 or hi < lo:
+        lo, hi, step = (float(t) for t in value.split(":"))
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise ValueError
+        return tuple(np.arange(lo, hi + 0.5 * step, step))
     except ValueError:
         raise click.BadParameter("expected LO:HI:STEP with STEP > 0")
-    return tuple(np.arange(lo, hi + 0.5 * step, step))
 
 
 def _parse_sizes(ctx, param, value):

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .numerics import find_root, integrate, integrate_batch
@@ -50,7 +50,7 @@ _ODD_INNER_TOL = 1e-10
 _ODD_OUTER_TOL = 1e-8
 
 # The asymptotic distribution is zero left of (half-normal median)/sqrt(2).
-ASYMPTOTIC_LOWER_BOUND = float(special.ndtri(0.75)) / _SQRT2
+ASYMPTOTIC_LOWER_BOUND = NormalDist().inv_cdf(0.75) / _SQRT2
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ class DistSpec:
 
 def conditional_cdf(d, x0):
     """P(|D| <= d) for one scaled difference, given the subject value x0."""
+    from scipy import special
+
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise DomainError("absolute difference must be non-negative")
@@ -115,6 +117,8 @@ def cdf_even(q, n) -> float:
         raise DomainError(f"cdf_even requires even n, got {n}")
     if q == 0.0:
         return 0.0
+    from scipy import special
+
     r = spec.r
 
     def integrand(x0):
@@ -140,6 +144,8 @@ def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
     tolerance is absolute and only meaningful on the O(1) scale of the
     final probability.
     """
+    from scipy import special
+
     const = 2.0 / special.beta(r, r)
     a = np.abs(x0)[None, :]  # symmetric in x0
 
@@ -198,6 +204,8 @@ def cdf_asymptotic(q) -> float:
     q = _validate_q(q)
     if q <= ASYMPTOTIC_LOWER_BOUND:
         return 0.0
+    from scipy import special
+
     hi = q * _SQRT2 + 10.0
     x0_star = find_root(lambda x0: float(conditional_cdf(q, x0)) - 0.5, 0.0, hi)
     return 2.0 * float(special.ndtr(x0_star)) - 1.0

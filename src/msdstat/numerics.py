@@ -10,15 +10,17 @@ table builds orders of magnitude slower.
 uses nested Clenshaw-Curtis levels, whose nodes carry over from one level
 to the next, so refining never evaluates an abscissa twice (Trefethen,
 "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50(1),
-2008).
+2008). ``find_root`` is Brent's method (Brent, *Algorithms for
+Minimization without Derivatives*, 1973, ch. 4), step for step as in
+scipy's ``brentq``.
 """
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConvergenceError, DomainError
 
@@ -60,6 +62,8 @@ _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 _MAX_INTERVALS = 2048  # panel budget of integrate
 _MAX_NODES = 2048      # top Clenshaw-Curtis level m (m + 1 nodes) of integrate_batch
 _XTOL = 1e-10          # absolute tolerance of find_root
+_RTOL = 4 * sys.float_info.epsilon  # relative tolerance of find_root (brentq's)
+_MAX_ITER = 100        # iteration budget of find_root (brentq's)
 
 
 def _finite(vals) -> np.ndarray:
@@ -206,12 +210,79 @@ def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Brent root of a scalar function on a bracketing interval."""
-    try:
-        return float(optimize.brentq(f, lo, hi, xtol=_XTOL))
-    except ValueError as exc:
-        raise ConvergenceError(
-            f"root not bracketed on [{lo:g}, {hi:g}]: {exc}") from exc
+    """Brent root of a scalar function on a bracketing interval.
+
+    A step-for-step port of scipy's ``brentq`` at ``xtol=_XTOL``, so roots
+    and calls of ``f`` match it bit for bit. Raises ``ConvergenceError``
+    when ``f`` has one sign at both ends, returns NaN, or needs more than
+    ``_MAX_ITER`` iterations.
+    """
+    lo = float(lo)
+    hi = float(hi)
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceError(
+                f"root search on [{lo:g}, {hi:g}]: the function value at "
+                f"x={x!r} is NaN")
+        return fx
+
+    def negative(v):  # C signbit
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = lo, hi
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ConvergenceError(f"root not bracketed on [{lo:g}, {hi:g}]: "
+                               "f(a) and f(b) must have different signs")
+    # xcur is the best estimate and xblk the other end of the bracket;
+    # scur is the last step taken and spre the one before it
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        stry = math.inf  # bisect unless an interpolation step is accepted
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass  # C gets an infinite or NaN step here, which bisects
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ConvergenceError(
+        f"root search on [{lo:g}, {hi:g}] did not converge within "
+        f"{_MAX_ITER} iterations (last x={xcur!r})")
 
 
 class MonotoneSpline:

@@ -1,5 +1,9 @@
 """Command-line surface: parsing, exit codes, routing, and reproducibility."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import pytest
@@ -7,7 +11,7 @@ from click.testing import CliRunner
 
 import msdstat
 from msdstat import DataError
-from msdstat.cli import _run, entrypoint
+from msdstat.cli import TABLES_ENV, _run, entrypoint
 from msdstat.datasets import conductivity_study, load_study, save_study
 from msdstat.errors import ConvergenceError
 
@@ -329,10 +333,13 @@ class TestSimulateCmds:
             assert 0.0 < rate < 0.1
 
     def test_bad_grid_is_usage_error(self, runner):
-        for grid in ("5:1:1", "0:5:-1", "nope", "1:2"):
-            result = runner.invoke(entrypoint, ["simulate", "power",
-                                                "--grid", grid])
-            assert result.exit_code == 2
+        for command in ("power", "resistance"):
+            for grid in ("5:1:1", "0:5:-1", "nope", "1:2", "0:inf:1",
+                         "0:nan:1", "nan:1:1", "0:1:inf", "-inf:0:1"):
+                result = runner.invoke(entrypoint, ["simulate", command,
+                                                    "--grid", grid])
+                assert result.exit_code == 2, (command, grid)
+                assert "expected LO:HI:STEP" in result.output
 
     def test_replicate_floor_maps_to_exit_3(self, runner):
         result = runner.invoke(entrypoint, ["simulate", "table3", "--n",
@@ -418,3 +425,48 @@ class TestExitCodeMapping:
     def test_unknown_subcommand_exits_2(self, runner):
         result = runner.invoke(entrypoint, ["frobnicate"])
         assert result.exit_code == 2
+
+
+# Runs msd commands one after another in a fresh interpreter and prints,
+# as its last line, the scipy modules loaded after the import and after
+# each command.
+_COLD_CHILD = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from msdstat.cli import entrypoint
+loaded = {"import msdstat.cli": scipy_modules()}
+for args in json.loads(sys.argv[1]):
+    try:
+        entrypoint(args, prog_name="msd")
+    except SystemExit as exc:
+        assert not exc.code, (args, exc.code)
+    loaded[" ".join(args)] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+class TestColdStart:
+    def test_scipy_is_loaded_only_by_exact_cdfs(self, study_path):
+        package = Path(msdstat.__file__).resolve().parent
+        env = {k: v for k, v in os.environ.items() if k != TABLES_ENV}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+        no_scipy = [
+            ["bootstrap", str(study_path)],
+            ["analyze", str(study_path), "--tables", str(package / "data")],
+            ["quantile", "--n", "13", "--p", "0.95", "--method", "table"],
+        ]
+        exact = ["quantile", "--n", "13", "--p", "0.95"]
+        out = subprocess.run(
+            [sys.executable, "-c", _COLD_CHILD, json.dumps(no_scipy + [exact])],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        *printed, last = out.stdout.splitlines()
+        loaded = json.loads(last)
+        exact_loaded = loaded.pop(" ".join(exact))
+        assert "scipy.special" in exact_loaded
+        assert "scipy.optimize" not in exact_loaded
+        assert loaded == {k: [] for k in loaded}
+        assert len(loaded) == 1 + len(no_scipy)
+        assert printed[-2:] == ["2.15528", "2.15521"]

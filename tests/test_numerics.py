@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from msdstat import distribution, tables
 from msdstat.errors import ConvergenceError, DomainError
-from msdstat.numerics import MonotoneSpline, find_root, integrate, integrate_batch
+from msdstat.numerics import _XTOL, MonotoneSpline, find_root, integrate, integrate_batch
 
 
 class TestIntegrate:
@@ -114,6 +115,69 @@ class TestFindRoot:
     def test_no_sign_change(self):
         with pytest.raises(ConvergenceError):
             find_root(lambda x: x ** 2 + 1.0, -1.0, 1.0)
+
+
+class TestFindRootFailures:
+    def test_exhausted_budget_is_a_convergence_error(self):
+        # 100 bisections cannot narrow [0, 1e300] to 1e-10
+        with pytest.raises(ConvergenceError, match="within 100 iterations"):
+            find_root(lambda x: -1.0 if x < 1.0 else 1.0, 0.0, 1e300)
+
+    def test_nan_names_its_abscissa(self):
+        def f(x):
+            return math.nan if 0.3 < x < 0.7 else x - 0.5
+
+        with pytest.raises(ConvergenceError, match=r"x=0\.5 is NaN"):
+            find_root(f, 0.0, 1.0)
+        with pytest.raises(ConvergenceError, match=r"x=0\.0 is NaN"):
+            find_root(lambda x: math.nan, 0.0, 1.0)
+
+    def test_same_sign_message(self):
+        with pytest.raises(ConvergenceError,
+                           match=r"^root not bracketed on \[-1, 1\]"):
+            find_root(lambda x: x ** 2 + 1.0, -1.0, 1.0)
+
+
+class TestBrentqIdentity:
+    """``find_root`` takes the steps of scipy's ``brentq``, bit for bit."""
+
+    def test_package_searches_match_brentq(self, monkeypatch):
+        from scipy import optimize
+
+        searches = []
+
+        def both(f, lo, hi):
+            # each side counts its own calls; values are shared, so brentq
+            # re-evaluates f only where it strays from find_root's path
+            seen = {}
+            calls = [0, 0]
+
+            def counted(side):
+                def g(x):
+                    calls[side] += 1
+                    if x not in seen:
+                        seen[x] = f(x)
+                    return seen[x]
+                return g
+
+            root = find_root(counted(0), lo, hi)
+            ref = float(optimize.brentq(counted(1), lo, hi, xtol=_XTOL))
+            searches.append(((lo, hi), root.hex(), ref.hex(), *calls))
+            return root
+
+        monkeypatch.setattr(distribution, "find_root", both)
+        monkeypatch.setattr(tables, "find_root", both)
+        for n in (5, 8, 13, 101):
+            distribution.quantile(0.95, n)
+            distribution.quantile(0.95 ** (1.0 / n), n)
+        distribution.quantile(0.95, math.inf)
+        distribution.cdf_asymptotic(1.0)
+        even, odd = tables.default_table("even"), tables.default_table("odd")
+        # tabulated and synthesized rows of each parity
+        for table, n in ((even, 10), (even, 36), (odd, 13), (odd, 41)):
+            tables.interp_quantile(table, n, 0.95)
+        assert len(searches) > 20
+        assert [s for s in searches if s[1] != s[2] or s[3] != s[4]] == []
 
 
 class TestMonotoneSpline:
