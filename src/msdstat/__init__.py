@@ -16,7 +16,6 @@ from .statistic import (
 )
 from .distribution import (
     ASYMPTOTIC_LOWER_BOUND,
-    DistSpec,
     cdf,
     cdf_asymptotic,
     cdf_even,

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import _check_int, _validate_p
 from .errors import DataError
-from .simulation import _blocks, _check_int, _check_levels
+from .simulation import _blocks
 from .statistic import Dataset, qe_values
 
 __all__ = [
@@ -36,9 +37,11 @@ class BootstrapConfig:
     levels: tuple[float, ...] = (0.95, 0.99)
 
     def __post_init__(self):
-        _check_int("replicates", self.replicates, "an integer >= 100", 100)
-        _check_int("seed", self.seed, "a 64-bit integer", 0, 2 ** 64)
-        levels = _check_levels(self.levels)
+        object.__setattr__(self, "replicates", _check_int(
+            "replicates", self.replicates, "an integer >= 100", 100))
+        object.__setattr__(self, "seed", _check_int(
+            "seed", self.seed, "a 64-bit integer", 0, 2 ** 64))
+        levels = tuple(_validate_p(p) for p in self.levels)
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise DataError("need at least one quantile level")
@@ -93,7 +96,7 @@ class BootstrapReport:
 
 
 def _values_of(ps) -> np.ndarray:
-    vals = np.array([p.value if isinstance(p, PValue) else float(p) for p in ps])
+    vals = np.array([float(p) for p in ps])
     if vals.size == 0:
         raise DataError("need at least one p-value")
     if np.any(vals <= 0.0) or np.any(vals > 1.0):
@@ -101,21 +104,11 @@ def _values_of(ps) -> np.ndarray:
     return vals
 
 
-def _rewrap(ps, adjusted: np.ndarray):
-    if any(isinstance(p, PValue) for p in ps):
-        return tuple(
-            PValue(float(a), p.is_upper_bound if isinstance(p, PValue) else False)
-            for p, a in zip(ps, adjusted))
-    return tuple(float(a) for a in adjusted)
-
-
 def holm_adjust(ps):
     """Step-down adjustment controlling the family-wise error rate.
 
     Sorted ascending, the i-th p-value is scaled by (m - i + 1), running
-    maxima enforce monotonicity, and results are capped at 1. PValue
-    inputs keep their upper-bound flag: a bound on the raw value is still
-    only a bound after scaling.
+    maxima enforce monotonicity, and results are capped at 1.
     """
     vals = _values_of(ps)
     m = vals.size
@@ -123,7 +116,7 @@ def holm_adjust(ps):
     scaled = np.minimum(1.0, (m - np.arange(m)) * vals[order])
     adjusted = np.empty(m)
     adjusted[order] = np.maximum.accumulate(scaled)
-    return _rewrap(ps, adjusted)
+    return tuple(adjusted.tolist())
 
 
 def bh_adjust(ps):
@@ -134,7 +127,7 @@ def bh_adjust(ps):
     scaled = np.minimum(1.0, m * vals[order] / np.arange(1, m + 1))
     adjusted = np.empty(m)
     adjusted[order] = np.minimum.accumulate(scaled[::-1])[::-1]
-    return _rewrap(ps, adjusted)
+    return tuple(adjusted.tolist())
 
 
 def bootstrap_msd(ds: Dataset, cfg: BootstrapConfig = BootstrapConfig()
@@ -145,7 +138,8 @@ def bootstrap_msd(ds: Dataset, cfg: BootstrapConfig = BootstrapConfig()
     recomputes all statistics; the subject's location never enters since
     the statistic ignores a common shift. Raw p-values count replicates
     with a simulated value at or above the observed one; a zero count is
-    reported as an upper bound of 1/replicates.
+    reported as an upper bound of 1/replicates, and its Holm and BH
+    values are bounds too.
     """
     u = ds.uncertainties()
     observed = qe_values(ds.values(), u)
@@ -153,15 +147,13 @@ def bootstrap_msd(ds: Dataset, cfg: BootstrapConfig = BootstrapConfig()
         qe_values(rng.standard_normal((c, ds.n)) * u, u)
         for rng, c in _blocks(cfg.seed, cfg.replicates)])
     counts = (sims >= observed).sum(axis=0)
-    raw = tuple(
-        PValue(max(int(k), 1) / cfg.replicates, is_upper_bound=bool(k == 0))
-        for k in counts)
-    holm = holm_adjust(raw)
-    bh = bh_adjust(raw)
+    raw = [max(int(k), 1) / cfg.replicates for k in counts]
+    p_values = [[PValue(p, bool(k == 0)) for p, k in zip(ps, counts)]
+                for ps in (raw, holm_adjust(raw), bh_adjust(raw))]
     level_quantiles = np.quantile(sims, cfg.levels, axis=0, method="linear")
     rows = tuple(
         BootstrapRow(label, float(observed[i]),
                      tuple(float(q) for q in level_quantiles[:, i]),
-                     raw[i], holm[i], bh[i])
+                     *(ps[i] for ps in p_values))
         for i, label in enumerate(ds.labels))
     return BootstrapReport(rows, cfg.levels, cfg.replicates, cfg.seed)

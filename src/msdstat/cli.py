@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, BootstrapReport, bootstrap_msd
+from .bootstrap import BootstrapConfig, BootstrapRow, bootstrap_msd
 from .datasets import load_study
 from .distribution import quantile
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
@@ -30,6 +30,7 @@ from .simulation import (
 from .statistic import msd
 from .tables import (
     _observation_level,
+    _table_file,
     build_table,
     default_table,
     interp_quantile,
@@ -76,11 +77,10 @@ def _tables_dir(flag_value) -> Path | None:
     return Path(env) if env else None
 
 
-def _table_for(n: int, tables: Path | None):
-    parity = "even" if n % 2 == 0 else "odd"
+def _table_for(parity: str, tables: Path | None):
     if tables is None:
         return default_table(parity)
-    return load_table(tables / f"msd_table_{parity}.csv")
+    return load_table(tables / _table_file(parity))
 
 
 def _critical_value(n: int, p: float, mode: str, table):
@@ -103,10 +103,9 @@ def _p_json(p) -> dict:
     return {"value": p.value, "upper_bound": p.is_upper_bound, "text": str(p)}
 
 
-def _bootstrap_json(report: BootstrapReport, label: str) -> dict:
-    row = report.by_label(label)
+def _bootstrap_json(row: BootstrapRow) -> dict:
     return {
-        "quantiles": {f"{lv:g}": q for lv, q in zip(report.levels, row.quantiles)},
+        "quantiles": {f"{lv:g}": q for lv, q in zip(_LEVELS, row.quantiles)},
         "p_raw": _p_json(row.p_raw),
         "p_holm": _p_json(row.p_holm),
         "p_bh": _p_json(row.p_bh),
@@ -140,17 +139,20 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
     """Score every observation in a study file and flag anomalies."""
     ds = load_study(input_path)
     scores = msd(ds).by_label()
+    parity = "even" if ds.n % 2 == 0 else "odd"
     tables = _tables_dir(tables)
-    table = None if tables is None else _table_for(ds.n, tables)
+    table = None if tables is None else _table_for(parity, tables)
     crit = tuple(_critical_value(ds.n, p, mode, table) for p in _LEVELS)
     provenance = "exact" if tables is None else str(tables)
     report = None
     if bootstrap_b:
         report = bootstrap_msd(ds, BootstrapConfig(
             replicates=bootstrap_b, seed=seed, levels=_LEVELS))
+    # report rows come in the dataset's observation order
+    brows = (None,) * ds.n if report is None else report.rows
 
     rows = []
-    for obs in ds.observations:
+    for obs, brow in zip(ds.observations, brows):
         qe = scores[obs.label]
         rows.append({
             "lab": obs.label,
@@ -161,8 +163,7 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
             "above_99": bool(qe > crit[1]),
             "above_2_0": bool(qe > 2.0),
             "above_2_5": bool(qe > 2.5),
-            "bootstrap": (_bootstrap_json(report, obs.label)
-                          if report is not None else None),
+            "bootstrap": None if brow is None else _bootstrap_json(brow),
         })
 
     if fmt == "structured":
@@ -170,7 +171,7 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
             "kind": "msd-analysis",
             "schema_version": 1,
             "n": ds.n,
-            "parity": "even" if ds.n % 2 == 0 else "odd",
+            "parity": parity,
             "mode": mode,
             "tables": provenance,
             "critical_values": {f"{p:g}": c for p, c in zip(_LEVELS, crit)},
@@ -183,7 +184,7 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
         click.echo(_dump_json(doc))
         return
 
-    click.echo(f"{ds.n} results ({'even' if ds.n % 2 == 0 else 'odd'}); "
+    click.echo(f"{ds.n} results ({parity}); "
                f"mode={mode}; critical values ({provenance}): "
                f"95% {crit[0]:.4f}, 99% {crit[1]:.4f}")
     click.echo("rules of thumb: inspect above 2.0, strict screen above 2.5")
@@ -202,10 +203,9 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
                    f"adjusted by {adjust}")
         click.echo(f"{'lab':<8} {'q*(0.95)':>10} {'q*(0.99)':>10} "
                    f"{'p_raw':>10} {'p_' + adjust:>10}")
-        for obs in ds.observations:
-            brow = report.by_label(obs.label)
+        for brow in brows:
             adj = brow.p_holm if adjust == "holm" else brow.p_bh
-            click.echo(f"{obs.label:<8} {brow.quantiles[0]:>10.4f} "
+            click.echo(f"{brow.label:<8} {brow.quantiles[0]:>10.4f} "
                        f"{brow.quantiles[1]:>10.4f} {str(brow.p_raw):>10} "
                        f"{str(adj):>10}")
 
@@ -234,7 +234,7 @@ def bootstrap_cmd(input_path, replicates, seed, fmt):
             "results": [{
                 "lab": row.label,
                 "q_e": row.statistic,
-                **_bootstrap_json(report, row.label),
+                **_bootstrap_json(row),
             } for row in report.rows],
         }
         click.echo(_dump_json(doc))
@@ -262,7 +262,9 @@ def bootstrap_cmd(input_path, replicates, seed, fmt):
 @_run
 def quantile_cmd(n, p, mode, method):
     """Print a critical value of the statistic under exchangeable data."""
-    table = _table_for(n, _tables_dir(None)) if method == "table" else None
+    table = None
+    if method == "table":
+        table = _table_for("even" if n % 2 == 0 else "odd", _tables_dir(None))
     click.echo(f"{_critical_value(n, p, mode, table):.6g}")
 
 
@@ -285,7 +287,7 @@ def tables_generate(parity, out, max_n):
     parities = ("even", "odd") if parity == "both" else (parity,)
     for par in parities:
         table = build_table(par, max_n=max_n)
-        path = out / f"msd_table_{par}.csv"
+        path = out / _table_file(par)
         save_table(table, path)
         click.echo(f"wrote {path}")
 

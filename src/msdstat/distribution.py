@@ -21,16 +21,14 @@ probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DataError, DomainError
 from .numerics import find_root, integrate, integrate_batch
 
 __all__ = [
-    "DistSpec",
     "conditional_cdf",
     "cdf_even",
     "cdf_odd",
@@ -53,24 +51,28 @@ _ODD_OUTER_TOL = 1e-8
 ASYMPTOTIC_LOWER_BOUND = NormalDist().inv_cdf(0.75) / _SQRT2
 
 
-@dataclass(frozen=True)
-class DistSpec:
-    """Size and parity bookkeeping for the distribution of one statistic."""
+def _integer(value) -> int | None:
+    """``value`` as an int if it is a Python or numpy integer, not a bool."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    return None
 
-    n: int
-    parity: str          # "even" or "odd"
-    r: int               # n/2 for even n, (n-1)/2 for odd n
 
-    @classmethod
-    def for_n(cls, n: int) -> "DistSpec":
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise DomainError(f"n must be an integer, got {n!r}")
-        if n < 3:
-            raise DomainError(f"n must be at least 3, got {n}")
-        n = int(n)
-        if n % 2 == 0:
-            return cls(n, "even", n // 2)
-        return cls(n, "odd", (n - 1) // 2)
+def _check_n(n) -> int:
+    """The one check of a dataset size: an integer of at least 3."""
+    size = _integer(n)
+    if size is None or size < 3:
+        raise DomainError(f"n must be an integer >= 3, got {n!r}")
+    return size
+
+
+def _check_int(name: str, value, rule: str, lo: int,
+               hi: float = math.inf) -> int:
+    """A run argument (replicates, seed, size): an integer in [lo, hi)."""
+    checked = _integer(value)
+    if checked is None or not lo <= checked < hi:
+        raise DataError(f"{name} must be {rule}, got {value!r}")
+    return checked
 
 
 def conditional_cdf(d, x0):
@@ -112,18 +114,18 @@ def cdf_even(q, n) -> float:
     regularized incomplete beta I_{F(q|x0)}(r, n-r).
     """
     q = _validate_q(q)
-    spec = DistSpec.for_n(n)
-    if spec.parity != "even":
+    n = _check_n(n)
+    if n % 2:
         raise DomainError(f"cdf_even requires even n, got {n}")
     if q == 0.0:
         return 0.0
     from scipy import special
 
-    r = spec.r
+    r = n // 2
 
     def integrand(x0):
         f = conditional_cdf(q, x0)
-        return special.betainc(r, spec.n - r, f) * _norm_pdf(x0)
+        return special.betainc(r, n - r, f) * _norm_pdf(x0)
 
     val = 2.0 * integrate(integrand, 0.0, _X0_CUTOFF, tol=0.5 * _EVEN_TOL)
     return min(max(val, 0.0), 1.0)
@@ -179,12 +181,12 @@ def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
 def cdf_odd(q, n) -> float:
     """Marginal P(Q_E <= q) for odd n by the nested double integral."""
     q = _validate_q(q)
-    spec = DistSpec.for_n(n)
-    if spec.parity != "odd":
+    n = _check_n(n)
+    if n % 2 == 0:
         raise DomainError(f"cdf_odd requires odd n, got {n}")
     if q == 0.0:
         return 0.0
-    r = spec.r
+    r = n // 2
 
     def outer(x0):
         return _odd_conditional_cdf(q, x0, r) * _norm_pdf(x0)
@@ -224,12 +226,12 @@ def cdf(q, n) -> float:
     """
     if n == math.inf:
         return cdf_asymptotic(q)
-    spec = DistSpec.for_n(n)
-    if spec.parity == "even":
-        return cdf_even(q, spec.n)
-    if spec.n <= _ODD_EXACT_LIMIT:
-        return cdf_odd(q, spec.n)
-    return cdf_even(q, spec.n + 1)
+    n = _check_n(n)
+    if n % 2 == 0:
+        return cdf_even(q, n)
+    if n <= _ODD_EXACT_LIMIT:
+        return cdf_odd(q, n)
+    return cdf_even(q, n + 1)
 
 
 _QUANTILE_BRACKET_HI = 10.0

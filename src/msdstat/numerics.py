@@ -73,6 +73,15 @@ def _finite(vals) -> np.ndarray:
     return vals
 
 
+def _limits(lo, hi) -> tuple[float, float]:
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("integration limits must be finite")
+    if hi < lo:
+        raise DomainError("upper limit below lower limit")
+    return lo, hi
+
+
 def _panel_rule(f, a, b):
     """Apply the 15-point rule to each panel [a[i], b[i]] in one call."""
     mid = 0.5 * (a + b)
@@ -93,14 +102,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     Panels whose local error exceeds their share of ``tol`` are bisected,
     all in one batched integrand call per refinement sweep.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("integration limits must be finite")
+    lo, hi = _limits(lo, hi)
     if hi == lo:
         return 0.0
-    if hi < lo:
-        raise DomainError("upper limit below lower limit")
 
     width = hi - lo
     n0 = 8
@@ -173,15 +177,10 @@ def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     when successive estimates agree within ``tol`` (absolute, per
     component).
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("integration limits must be finite")
+    lo, hi = _limits(lo, hi)
     if hi == lo:
         probe = np.asarray(f(np.array([lo])))
         return np.zeros(probe.shape[1:])
-    if hi < lo:
-        raise DomainError("upper limit below lower limit")
 
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import _check_int, _check_n, _validate_p
 from .errors import DataError
 from .statistic import pwch_values, qe_values
 
@@ -35,23 +36,11 @@ BLOCK = 4096
 _STATISTICS = {"msd": qe_values, "pwch": pwch_values}
 
 
-def _check_int(name: str, value, rule: str, lo: int, hi: float = math.inf):
-    if not (isinstance(value, int) and lo <= value < hi):
-        raise DataError(f"{name} must be {rule}, got {value!r}")
-
-
-def _check_levels(ps) -> tuple[float, ...]:
-    ps = tuple(float(p) for p in ps)
-    if any(not 0.0 < p < 1.0 for p in ps):
-        raise DataError("quantile levels must lie strictly inside (0, 1)")
-    return ps
-
-
 def _blocks(seed: int, replicates: int, key: tuple[int, ...] = ()):
     """Check the run arguments, then lazily yield (generator, count) for
     each block of the stream the module docstring describes."""
-    _check_int("replicates", replicates, "a positive integer", 1)
-    _check_int("seed", seed, "a 64-bit integer", 0, 2 ** 64)
+    replicates = _check_int("replicates", replicates, "a positive integer", 1)
+    seed = _check_int("seed", seed, "a 64-bit integer", 0, 2 ** 64)
     full, rem = divmod(replicates, BLOCK)
     return ((np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(seed, spawn_key=key + (b,)))),
@@ -107,13 +96,13 @@ def _bracket_se(sorted_vals: np.ndarray, p: float) -> float:
 def _null_pool(kernel, n: int, ps, replicates: int, seed: int):
     """Checked levels, and ``kernel``'s values pooled over every replicate
     of an all-null study of size n."""
-    _check_int("n", n, "an integer >= 3", 3)
+    n = _check_n(n)
     blocks = _blocks(seed, replicates)
     if replicates < 1000:
         raise DataError(
             f"replicates={replicates} is too few for quantile estimation; "
             "need at least 1000")
-    ps = _check_levels(ps)
+    ps = tuple(_validate_p(p) for p in ps)
     u = np.ones(n)
     return ps, np.concatenate([kernel(rng.standard_normal((c, n)), u)
                                for rng, c in blocks])
@@ -142,7 +131,7 @@ def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
         raise DataError(
             f"statistic must be one of {sorted(_STATISTICS)}, got {statistic!r}")
     stat_fn = _STATISTICS[statistic]
-    _check_int("n", n, "an integer >= 3", 3)
+    n = _check_n(n)
     if not (math.isfinite(critical) and critical > 0):
         raise DataError(f"critical value must be positive, got {critical}")
     grid = np.asarray(list(grid), dtype=float)
@@ -158,8 +147,9 @@ def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
             counts[j] += int((subject > critical).sum())
     prop = counts / replicates
     se = np.sqrt(prop * (1.0 - prop) / replicates)
+    # _blocks has checked replicates and seed; numpy integers are stored as int
     return PowerCurve(statistic, grid, prop, se, float(critical),
-                      n, replicates, seed)
+                      n, int(replicates), int(seed))
 
 
 def simulate_power(statistic: str, n: int, grid, replicates: int, seed: int,
@@ -193,12 +183,10 @@ def simulate_hetero_guideline(sizes, replicates: int, seed: int) -> HeteroStudy:
     evaluates the screening thresholds: how often an individual statistic
     exceeds 2.0, and how often a dataset contains any value above 2.5.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(_check_int("size", n, "an integer in 5..25", 5, 26)
+                  for n in sizes)
     if not sizes:
         raise DataError("need at least one dataset size")
-    for n in sizes:
-        if not 5 <= n <= 25:
-            raise DataError(f"guideline study covers sizes 5..25, got {n}")
     value_hits = np.zeros(len(sizes), dtype=np.int64)
     dataset_hits = np.zeros(len(sizes), dtype=np.int64)
     for j, n in enumerate(sizes):
@@ -218,7 +206,7 @@ def simulate_hetero_guideline(sizes, replicates: int, seed: int) -> HeteroStudy:
                        np.sqrt(value_rate * (1 - value_rate) / value_count),
                        dataset_rate,
                        np.sqrt(dataset_rate * (1 - dataset_rate) / replicates),
-                       replicates, seed)
+                       int(replicates), int(seed))
 
 
 def calibrate_pwch_quantile(n: int, p: float, replicates: int,

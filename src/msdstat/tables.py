@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .distribution import (_ODD_EXACT_LIMIT, DistSpec, _validate_p, _validate_q,
+from .distribution import (_ODD_EXACT_LIMIT, _check_n, _validate_p, _validate_q,
                            cdf, quantile)
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
 from .numerics import MonotoneSpline, find_root
@@ -115,18 +115,24 @@ def _repair_row(row: np.ndarray) -> np.ndarray:
     return row
 
 
+def _check_parity(parity: str) -> None:
+    if parity not in ("even", "odd"):
+        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
+
+
+def _table_file(parity: str) -> str:
+    """File name of one parity's table, bundled or regenerated."""
+    return f"msd_table_{parity}.csv"
+
+
 def build_table(parity: str, max_n: int | None = None) -> QuantileTable:
     """Compute the full probability table for one parity from quadrature.
 
     ``max_n`` truncates the finite size grid (the asymptotic row is always
     kept); useful for quick rebuilds in tests and command-line smoke runs.
     """
-    if parity == "even":
-        sizes = EVEN_SIZES
-    elif parity == "odd":
-        sizes = ODD_SIZES
-    else:
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
+    _check_parity(parity)
+    sizes = EVEN_SIZES if parity == "even" else ODD_SIZES
     if max_n is not None:
         sizes = tuple(n for n in sizes if n <= max_n)
         if not sizes:
@@ -226,9 +232,8 @@ def _parse_table(raw: str, origin: str) -> QuantileTable:
 @lru_cache(maxsize=None)
 def default_table(parity: str) -> QuantileTable:
     """The table shipped with the package, loaded once per process."""
-    if parity not in ("even", "odd"):
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-    ref = resources.files("msdstat").joinpath(f"data/msd_table_{parity}.csv")
+    _check_parity(parity)
+    ref = resources.files("msdstat").joinpath("data/" + _table_file(parity))
     return _parse_table(ref.read_text(encoding="ascii"), str(ref))
 
 
@@ -284,18 +289,19 @@ def interp_probability(table: QuantileTable, n, q) -> float:
 def _lookup_spline(table: QuantileTable, n) -> MonotoneSpline:
     if n == math.inf:
         return table._row_spline(len(table.sizes) - 1)
-    spec = DistSpec.for_n(n)
-    if spec.n in table.sizes:
-        return table._row_spline(table.sizes.index(spec.n))
-    if spec.parity != table.parity:
-        raise TableRangeError(f"n={spec.n} is {spec.parity}; the {table.parity} "
+    n = _check_n(n)
+    if n in table.sizes:
+        return table._row_spline(table.sizes.index(n))
+    parity = "odd" if n % 2 else "even"
+    if parity != table.parity:
+        raise TableRangeError(f"n={n} is {parity}; the {table.parity} "
                               f"table serves only {table.parity} sizes")
     smallest = table.finite_sizes[0]
-    if spec.n < smallest:
+    if n < smallest:
         raise TableRangeError(
-            f"n={spec.n} is below the smallest tabulated size {int(smallest)} "
+            f"n={n} is below the smallest tabulated size {int(smallest)} "
             f"of the {table.parity} table")
-    return MonotoneSpline(table.knots_t, _synth_row(table, spec.n))
+    return MonotoneSpline(table.knots_t, _synth_row(table, n))
 
 
 def interp_quantile(table: QuantileTable, n, p) -> float:
@@ -314,8 +320,7 @@ def interp_quantile(table: QuantileTable, n, p) -> float:
 def _observation_level(p, n) -> float:
     """Per-observation level p**(1/n) for the whole-dataset level p."""
     p = _validate_p(p)
-    n = DistSpec.for_n(n).n
-    return p ** (1.0 / n)
+    return p ** (1.0 / _check_n(n))
 
 
 def multi_quantile_adjusted(n, p) -> float:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import property_checks as props
-from msdstat import DataError, quantile
+from msdstat import DataError, DomainError, quantile
 from msdstat.bootstrap import (
     BootstrapConfig,
     PValue,
@@ -43,7 +43,11 @@ class TestConfig:
                 BootstrapConfig(seed=bad)
 
     def test_levels_validated(self):
-        for bad in ((), (0.0,), (1.0,), (0.99, 0.95), (0.95, 0.95)):
+        # a level outside (0, 1) is a domain error, a bad list a data error
+        for bad in ((0.0,), (1.0,)):
+            with pytest.raises(DomainError):
+                BootstrapConfig(levels=bad)
+        for bad in ((), (0.99, 0.95), (0.95, 0.95)):
             with pytest.raises(DataError):
                 BootstrapConfig(levels=bad)
 
@@ -87,11 +91,14 @@ class TestAdjusters:
             assert all(a >= p for a, p in zip(out, ps))
             assert all(a <= 1.0 for a in out)
 
-    def test_upper_bound_flag_carried(self):
-        ps = (PValue(0.0002, is_upper_bound=True), PValue(0.5))
-        for adjust in (holm_adjust, bh_adjust):
-            out = adjust(ps)
-            assert out[0].is_upper_bound and not out[1].is_upper_bound
+    def test_upper_bound_flag_carried(self, report):
+        # a bound on the raw value is still only a bound after adjustment
+        zero_count = ("Lab04", "Lab08", "Lab09", "Lab12")
+        for row in report.rows:
+            bound = row.label in zero_count
+            assert row.p_raw.is_upper_bound == bound
+            assert row.p_holm.is_upper_bound == bound
+            assert row.p_bh.is_upper_bound == bound
 
     def test_invalid_inputs(self):
         for adjust in (holm_adjust, bh_adjust):

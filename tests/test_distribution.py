@@ -7,7 +7,6 @@ from scipy import special
 from msdstat import (
     ASYMPTOTIC_LOWER_BOUND,
     ConvergenceError,
-    DistSpec,
     DomainError,
     cdf,
     cdf_asymptotic,
@@ -16,6 +15,12 @@ from msdstat import (
     conditional_cdf,
     multi_quantile_adjusted,
     quantile,
+)
+from msdstat.simulation import (
+    calibrate_pwch_quantile,
+    simulate_multi_quantiles,
+    simulate_power,
+    simulate_resistance,
 )
 from msdstat.tables import default_table, interp_probability, interp_quantile
 
@@ -71,19 +76,6 @@ class TestConditionalKernel:
     def test_negative_difference_rejected(self):
         with pytest.raises(DomainError):
             conditional_cdf(-0.1, 0.0)
-
-
-class TestDistSpec:
-    def test_parity_fields(self):
-        even = DistSpec.for_n(10)
-        assert (even.parity, even.r) == ("even", 5)
-        odd = DistSpec.for_n(13)
-        assert (odd.parity, odd.r) == ("odd", 6)
-
-    def test_rejections(self):
-        for bad in (2, 0, -4, 2.5, "ten", True):
-            with pytest.raises(DomainError):
-                DistSpec.for_n(bad)
 
 
 class TestCdfEven:
@@ -162,10 +154,19 @@ class TestDispatch:
                       lambda n: multi_quantile_adjusted(n, 0.95),
                   "interp_quantile": lambda n: interp_quantile(even, n, 0.95),
                   "interp_probability":
-                      lambda n: interp_probability(even, n, 1.3)}
+                      lambda n: interp_probability(even, n, 1.3),
+                  "simulate_multi_quantiles":
+                      lambda n: simulate_multi_quantiles(
+                          n, (0.95,), 1000, 0)[0].value,
+                  "calibrate_pwch_quantile":
+                      lambda n: calibrate_pwch_quantile(n, 0.95, 1000, 0),
+                  "simulate_power": lambda n: simulate_power(
+                      "msd", n, (0.0,), 100, 0, 1.5).proportion[0],
+                  "simulate_resistance": lambda n: simulate_resistance(
+                      "msd", n, (0.0,), 100, 0, 1.5).proportion[0]}
         for name, route in routes.items():
             assert math.isfinite(route(np.int64(10))), name
-            for bad in (10.0, True, 2):
+            for bad in (10.0, True, 2, 0, -4, 2.5, "ten"):
                 # the error names n as the caller passed it
                 with pytest.raises(DomainError, match=f"got {bad!r}$"):
                     route(bad)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import property_checks as props
-from msdstat import DataError, quantile
+from msdstat import DataError, DomainError, quantile
 from msdstat.bootstrap import BootstrapConfig, bootstrap_msd
 from msdstat.simulation import (
     calibrate_pwch_quantile,
@@ -31,7 +31,7 @@ class TestConfig:
     def test_rejects_bad_n(self):
         for n in (2, 0, -4, 3.0, "10", True):
             for run in _runs(n=n)[:-1]:
-                with pytest.raises(DataError, match="n must be an integer"):
+                with pytest.raises(DomainError, match="n must be an integer"):
                     run()
 
     def test_rejects_bad_replicates(self):
@@ -46,6 +46,19 @@ class TestConfig:
                 with pytest.raises(DataError, match="seed must be"):
                     run()
 
+    def test_numpy_integers_accepted(self):
+        # numpy integers pass every integer check and give the int results
+        plain = _runs(n=10, replicates=1000, seed=3)
+        numpy = _runs(n=np.int64(10), replicates=np.int64(1000),
+                      seed=np.uint64(3))
+        for a, b in zip(plain, numpy):
+            assert repr(b()) == repr(a())
+        ds = Dataset.from_arrays("abcde", [0.1, -0.4, 0.0, 1.2, 0.3],
+                                 [1.0, 0.5, 2.0, 1.5, 0.8])
+        assert repr(bootstrap_msd(ds, BootstrapConfig(
+            replicates=np.int64(500), seed=np.int64(3)))) == repr(
+            bootstrap_msd(ds, BootstrapConfig(replicates=500, seed=3)))
+
     def test_unknown_statistic(self):
         with pytest.raises(DataError):
             simulate_power("mad", 10, (0.0,), 100, seed=0, critical=1.5)
@@ -58,9 +71,9 @@ class TestConfig:
 
     def test_quantile_levels_validated(self):
         for bad in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(DataError):
+            with pytest.raises(DomainError):
                 simulate_multi_quantiles(10, (bad,), 2000, seed=0)
-        with pytest.raises(DataError):
+        with pytest.raises(DomainError):
             calibrate_pwch_quantile(10, 1.0, 2000, seed=0)
 
     def test_power_grid_and_critical_validated(self):
@@ -134,7 +147,8 @@ class TestPowerAndResistance:
 
 class TestHeteroGuideline:
     def test_size_range_enforced(self):
-        for sizes in ((4,), (26,), ()):
+        # a size must be an integer: 5.7 is not truncated to 5
+        for sizes in ((4,), (26,), (), (5.7,), (True,), ("5",)):
             with pytest.raises(DataError):
                 simulate_hetero_guideline(sizes, 100, seed=0)
         with pytest.raises(DataError):
