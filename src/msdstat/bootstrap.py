@@ -9,10 +9,11 @@ Benjamini-Hochberg adjustments for the multiple comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .distribution import _check_int, _validate_p
+from .distribution import _check_int, _validate_levels
 from .errors import DataError
 from .simulation import _blocks
 from .statistic import Dataset, qe_values
@@ -26,6 +27,10 @@ __all__ = [
     "bootstrap_msd",
     "holm_adjust",
 ]
+
+# numpy's empirical quantile convention for every bootstrap quantile; the
+# report names it, so the reported and the used convention are one
+_QUANTILE_METHOD = "linear"
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,8 @@ class BootstrapConfig:
             "replicates", self.replicates, "an integer >= 100", 100))
         object.__setattr__(self, "seed", _check_int(
             "seed", self.seed, "a 64-bit integer", 0, 2 ** 64))
-        levels = tuple(_validate_p(p) for p in self.levels)
+        levels = _validate_levels(self.levels)
         object.__setattr__(self, "levels", levels)
-        if not levels:
-            raise DataError("need at least one quantile level")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DataError("quantile levels must be strictly increasing")
 
@@ -85,8 +88,7 @@ class BootstrapReport:
     levels: tuple[float, ...]
     replicates: int
     seed: int
-    # the empirical quantile convention is a reporting choice, so name it
-    quantile_method: str = "linear"
+    quantile_method: ClassVar[str] = _QUANTILE_METHOD
 
     def by_label(self, label: str) -> BootstrapRow:
         for row in self.rows:
@@ -150,7 +152,8 @@ def bootstrap_msd(ds: Dataset, cfg: BootstrapConfig = BootstrapConfig()
     raw = [max(int(k), 1) / cfg.replicates for k in counts]
     p_values = [[PValue(p, bool(k == 0)) for p, k in zip(ps, counts)]
                 for ps in (raw, holm_adjust(raw), bh_adjust(raw))]
-    level_quantiles = np.quantile(sims, cfg.levels, axis=0, method="linear")
+    level_quantiles = np.quantile(sims, cfg.levels, axis=0,
+                                   method=_QUANTILE_METHOD)
     rows = tuple(
         BootstrapRow(label, float(observed[i]),
                      tuple(float(q) for q in level_quantiles[:, i]),

@@ -61,8 +61,8 @@ def load_study(path) -> Dataset:
     """Parse a study file; errors carry the file name and line number."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read study file {path}: {exc}") from exc
     return _parse_study(text.splitlines(), origin=path.name)
 
@@ -72,7 +72,7 @@ def save_study(ds: Dataset, path) -> None:
     lines = ["lab,value,u"]
     lines += [f"{o.label},{o.value!r},{o.uncertainty!r}"
               for o in ds.observations]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def conductivity_study() -> Dataset:

@@ -105,6 +105,14 @@ def _validate_p(p) -> float:
     return p
 
 
+def _validate_levels(ps) -> tuple[float, ...]:
+    """A list of quantile levels: each one a probability, at least one."""
+    levels = tuple(_validate_p(p) for p in ps)
+    if not levels:
+        raise DataError("need at least one quantile level")
+    return levels
+
+
 def cdf_even(q, n) -> float:
     """Marginal P(Q_E <= q) for even n.
 

@@ -1,4 +1,4 @@
-"""Quadrature, root finding, and monotone interpolation primitives.
+"""Quadrature and root finding primitives.
 
 The integrators are vectorized: integrands receive a whole array of
 abscissae per call. That matters for the nested integrals in the odd-count
@@ -283,59 +283,3 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         f"root search on [{lo:g}, {hi:g}] did not converge within "
         f"{_MAX_ITER} iterations (last x={xcur!r})")
 
-
-class MonotoneSpline:
-    """Monotone cubic interpolant of non-decreasing data.
-
-    Tangents start from three-point parabolic estimates and are then
-    clamped to [0, 3 * min(adjacent secants)], which is the classic filter
-    guaranteeing the Hermite cubic preserves monotonicity. Knot values are
-    reproduced exactly; evaluation outside the knot span is an error.
-    """
-
-    def __init__(self, t, y):
-        t = np.ascontiguousarray(t, dtype=float)
-        y = np.ascontiguousarray(y, dtype=float)
-        if t.ndim != 1 or t.shape != y.shape or t.size < 2:
-            raise DomainError("need matching 1-d knot and value arrays, length >= 2")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-            raise DomainError("knots and values must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise DomainError("knots must be strictly increasing")
-        if np.any(np.diff(y) < 0):
-            raise DomainError("values must be non-decreasing")
-
-        h = np.diff(t)
-        delta = np.diff(y) / h
-        m = np.empty_like(y)
-        m[0] = delta[0]
-        m[-1] = delta[-1]
-        if y.size > 2:
-            m[1:-1] = (h[1:] * delta[:-1] + h[:-1] * delta[1:]) / (h[1:] + h[:-1])
-        cap = np.empty_like(y)
-        cap[0] = 3.0 * delta[0]
-        cap[-1] = 3.0 * delta[-1]
-        if y.size > 2:
-            cap[1:-1] = 3.0 * np.minimum(delta[:-1], delta[1:])
-        self._t = t
-        self._y = y
-        self._m = np.clip(m, 0.0, cap)
-
-    def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        t, y, m = self._t, self._y, self._m
-        if np.any(x_arr < t[0]) or np.any(x_arr > t[-1]):
-            raise DomainError(
-                f"evaluation point outside knot span [{t[0]:g}, {t[-1]:g}]")
-        idx = np.clip(np.searchsorted(t, x_arr, side="right") - 1, 0, t.size - 2)
-        h = t[idx + 1] - t[idx]
-        s = (x_arr - t[idx]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out = (h00 * y[idx] + h10 * h * m[idx]
-               + h01 * y[idx + 1] + h11 * h * m[idx + 1])
-        return float(out[0]) if scalar else out

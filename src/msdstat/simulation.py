@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import _check_int, _check_n, _validate_p
+from .distribution import _check_int, _check_n, _validate_levels
 from .errors import DataError
 from .statistic import pwch_values, qe_values
 
@@ -102,7 +102,7 @@ def _null_pool(kernel, n: int, ps, replicates: int, seed: int):
         raise DataError(
             f"replicates={replicates} is too few for quantile estimation; "
             "need at least 1000")
-    ps = tuple(_validate_p(p) for p in ps)
+    ps = _validate_levels(ps)
     u = np.ones(n)
     return ps, np.concatenate([kernel(rng.standard_normal((c, n)), u)
                                for rng, c in blocks])

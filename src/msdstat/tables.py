@@ -8,14 +8,19 @@ Rows cover a fixed grid of sizes per parity plus the asymptotic row,
 which doubles as the n/(n+1) = 1 endpoint when interpolating to very
 large n.
 
-Lookups spline the probabilities against t with a monotone (Hyman
-filtered) cubic and invert by root search on that spline; quantiles are
-never obtained from a transposed quantile-versus-probability fit.
+Lookups spline the probabilities against t with a monotone Hermite
+cubic and invert by root search on that spline; quantiles are never
+obtained from a transposed quantile-versus-probability fit. The cubic's
+tangents start from three-point parabolic estimates and are clamped to
+[0, 3 * min(adjacent secants)], Hyman's filter, which keeps each piece
+monotone and reproduces the knot values exactly. A table computes the
+tangents of all its rows once, when it is built or loaded; a synthesized
+row gets its tangents the same way.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -24,7 +29,7 @@ import numpy as np
 from .distribution import (_ODD_EXACT_LIMIT, _check_n, _validate_p, _validate_q,
                            cdf, quantile)
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
-from .numerics import MonotoneSpline, find_root
+from .numerics import find_root
 
 __all__ = [
     "QuantileTable",
@@ -76,10 +81,19 @@ class QuantileTable:
     sizes: tuple[float, ...]    # ascending, math.inf last
     knots_t: np.ndarray         # 51 values of q/(1+q), ascending, last is 1.0
     probs: np.ndarray           # shape (len(sizes), len(knots_t))
+    # spline tangents of every row, same shape; derived from probs
+    tangents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
             raise DataError(f"unknown parity {self.parity!r}")
+        knots = self.knots_t
+        if knots.ndim != 1 or knots.size < 2:
+            raise DataError("need a 1-d grid of at least two knots")
+        if not np.all(np.isfinite(knots)):
+            raise DataError("knots must be finite")
+        if np.any(np.diff(knots) <= 0.0):
+            raise DataError("knots must be strictly increasing")
         if self.sizes[-1] != math.inf or any(
                 not s < t for s, t in zip(self.sizes, self.sizes[1:])):
             raise DataError("sizes must ascend and end with the asymptotic row")
@@ -93,17 +107,46 @@ class QuantileTable:
             raise DataError("each row must be non-decreasing along q")
         if np.any(self.probs[:, -1] != 1.0):
             raise DataError("final column must be exactly 1")
-        # row index -> spline, filled on first lookup; dies with the table
-        object.__setattr__(self, "_splines", {})
+        object.__setattr__(self, "tangents", _tangents(knots, self.probs))
 
     @property
     def finite_sizes(self) -> tuple[float, ...]:
         return self.sizes[:-1]
 
-    def _row_spline(self, idx: int) -> MonotoneSpline:
-        if idx not in self._splines:
-            self._splines[idx] = MonotoneSpline(self.knots_t, self.probs[idx])
-        return self._splines[idx]
+
+def _tangents(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hyman-filtered tangents of the monotone cubic through each row of
+    ``y`` (non-decreasing along the last axis) at the knots ``t``."""
+    h = np.diff(t)
+    delta = np.diff(y, axis=-1) / h
+    m = np.empty(y.shape)
+    m[..., 0] = delta[..., 0]
+    m[..., -1] = delta[..., -1]
+    m[..., 1:-1] = ((h[1:] * delta[..., :-1] + h[:-1] * delta[..., 1:])
+                    / (h[1:] + h[:-1]))
+    cap = np.empty(y.shape)
+    cap[..., 0] = 3.0 * delta[..., 0]
+    cap[..., -1] = 3.0 * delta[..., -1]
+    cap[..., 1:-1] = 3.0 * np.minimum(delta[..., :-1], delta[..., 1:])
+    return np.clip(m, 0.0, cap)
+
+
+def _cubic(t: np.ndarray, y: np.ndarray, m: np.ndarray, x: float) -> float:
+    """Hermite cubic with values ``y`` and tangents ``m`` at knots ``t``,
+    evaluated at x inside the knot span."""
+    if x < t[0] or x > t[-1]:
+        raise DomainError(
+            f"evaluation point outside knot span [{t[0]:g}, {t[-1]:g}]")
+    i = min(max(int(np.searchsorted(t, x, side="right")) - 1, 0), t.size - 2)
+    h = t[i + 1] - t[i]
+    s = (x - t[i]) / h
+    r2 = (1 - s) * (1 - s)
+    h00 = (1 + 2 * s) * r2
+    h10 = s * r2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return float(h00 * y[i] + h10 * h * m[i]
+                 + h01 * y[i + 1] + h11 * h * m[i + 1])
 
 
 def _repair_row(row: np.ndarray) -> np.ndarray:
@@ -192,17 +235,24 @@ def save_table(table: QuantileTable, path) -> None:
 
 
 def load_table(path) -> QuantileTable:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         raw = fh.read()
     return _parse_table(raw, str(path))
 
 
-def _parse_table(raw: str, origin: str) -> QuantileTable:
+def _parse_table(raw: bytes, origin: str) -> QuantileTable:
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{origin}:{lineno}: non-ASCII byte "
+                        f"{raw[exc.start]:#04x}") from None
     parity = None
     knots = None
     sizes: list[float] = []
     rows: list[np.ndarray] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    width = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -216,10 +266,22 @@ def _parse_table(raw: str, origin: str) -> QuantileTable:
             vals = np.array([float(v) for v in rest.split(",")])
         except ValueError as exc:
             raise DataError(f"{origin}:{lineno}: unparseable number ({exc})")
+        if width is None:
+            width = vals.size
+        elif vals.size != width:
+            raise DataError(f"{origin}:{lineno}: {vals.size} values where "
+                            f"earlier lines have {width}")
         if head == "knots":
             knots = vals
             continue
-        sizes.append(math.inf if head == "inf" else float(int(head)))
+        try:
+            size = math.inf if head == "inf" else float(int(head))
+            if size < 3:
+                raise ValueError
+        except (ValueError, OverflowError):
+            raise DataError(f"{origin}:{lineno}: size {head!r} is not an "
+                            "integer >= 3 or 'inf'") from None
+        sizes.append(size)
         rows.append(vals)
     if parity is None or knots is None or not rows:
         raise DataError(f"{origin}: not a quantile table file")
@@ -234,7 +296,7 @@ def default_table(parity: str) -> QuantileTable:
     """The table shipped with the package, loaded once per process."""
     _check_parity(parity)
     ref = resources.files("msdstat").joinpath("data/" + _table_file(parity))
-    return _parse_table(ref.read_text(encoding="ascii"), str(ref))
+    return _parse_table(ref.read_bytes(), str(ref))
 
 
 # ------------------------------------------------------------ interpolation
@@ -281,17 +343,18 @@ def interp_probability(table: QuantileTable, n, q) -> float:
     q = 0.5098, and 0.0032 at n = 250, q = 0.52.
     """
     q = _validate_q(q)
-    spline = _lookup_spline(table, n)
-    t = q / (1.0 + q)
-    return float(spline(t))
+    y, m = _lookup_row(table, n)
+    return _cubic(table.knots_t, y, m, q / (1.0 + q))
 
 
-def _lookup_spline(table: QuantileTable, n) -> MonotoneSpline:
+def _lookup_row(table: QuantileTable, n) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and spline tangents of size n's row."""
     if n == math.inf:
-        return table._row_spline(len(table.sizes) - 1)
+        return table.probs[-1], table.tangents[-1]
     n = _check_n(n)
     if n in table.sizes:
-        return table._row_spline(table.sizes.index(n))
+        i = table.sizes.index(n)
+        return table.probs[i], table.tangents[i]
     parity = "odd" if n % 2 else "even"
     if parity != table.parity:
         raise TableRangeError(f"n={n} is {parity}; the {table.parity} "
@@ -301,19 +364,21 @@ def _lookup_spline(table: QuantileTable, n) -> MonotoneSpline:
         raise TableRangeError(
             f"n={n} is below the smallest tabulated size {int(smallest)} "
             f"of the {table.parity} table")
-    return MonotoneSpline(table.knots_t, _synth_row(table, n))
+    y = _synth_row(table, n)
+    return y, _tangents(table.knots_t, y)
 
 
 def interp_quantile(table: QuantileTable, n, p) -> float:
     """Inverse lookup by root search on the probability spline."""
     p = _validate_p(p)
-    spline = _lookup_spline(table, n)
+    y, m = _lookup_row(table, n)
+    t = table.knots_t
     # restrict to the genuinely tabulated range t <= 0.8 (q <= 4)
     t_hi = 0.8
-    if p >= spline(t_hi):
+    if p >= _cubic(t, y, m, t_hi):
         raise TableRangeError(
             f"p={p} is beyond the table's q range for n={n}")
-    t_star = find_root(lambda t: float(spline(t)) - p, 0.0, t_hi)
+    t_star = find_root(lambda x: _cubic(t, y, m, x) - p, 0.0, t_hi)
     return _t_to_q(t_star)
 
 

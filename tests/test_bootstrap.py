@@ -1,4 +1,6 @@
 """Parametric bootstrap: counting, adjustment arithmetic, and invariances."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ import property_checks as props
 from msdstat import DataError, DomainError, quantile
 from msdstat.bootstrap import (
     BootstrapConfig,
+    BootstrapReport,
     PValue,
     bh_adjust,
     bootstrap_msd,
@@ -146,6 +149,13 @@ class TestWorkedExample:
             assert report.by_label(lab).quantiles[1] > 1.925
         for lab in ("Lab07", "Lab11"):
             assert report.by_label(lab).quantiles[1] < 2.513
+
+    def test_quantile_method_is_not_a_knob(self, report):
+        # the report names the convention bootstrap_msd uses; no caller
+        # can set another one
+        assert "quantile_method" not in {
+            f.name for f in dataclasses.fields(BootstrapReport)}
+        assert type(report).quantile_method == "linear"
 
     def test_quantile_columns_ordered(self, report):
         for row in report.rows:

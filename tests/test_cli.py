@@ -216,6 +216,31 @@ class TestAnalyze:
         assert result.exit_code == 3
         assert "bad.csv:3" in result.output
 
+    def test_non_utf8_study_exits_3(self, runner, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"lab,value,u\nZ\xfcrich,1.0,0.5\nb,2.0,0.5\n"
+                         b"c,3.0,0.5\n")
+        result = runner.invoke(entrypoint, ["analyze", str(path)])
+        assert result.exit_code == 3
+        assert f"error: cannot read study file {path}" in result.output
+        assert "Traceback" not in result.output
+
+    def test_malformed_table_exits_3_naming_line(self, runner, study_path,
+                                                 tmp_path):
+        tdir = tmp_path / "tables"
+        invoke(runner, ["tables", "generate", "--parity", "odd", "--max-n",
+                        "5", "--out", str(tdir)])
+        path = tdir / "msd_table_odd.csv"
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        lines[row] = "five" + lines[row][1:]
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(entrypoint, ["analyze", str(study_path),
+                                            "--tables", str(tdir)])
+        assert result.exit_code == 3
+        assert f"msd_table_odd.csv:{row + 1}: size 'five'" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestQuantileCmd:
     def test_single_observation_exact_and_table(self, runner):

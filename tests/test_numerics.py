@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from msdstat import distribution, tables
-from msdstat.errors import ConvergenceError, DomainError
-from msdstat.numerics import _XTOL, MonotoneSpline, find_root, integrate, integrate_batch
+from msdstat.errors import ConvergenceError, DataError, DomainError
+from msdstat.numerics import _XTOL, find_root, integrate, integrate_batch
 
 
 class TestIntegrate:
@@ -181,30 +181,50 @@ class TestBrentqIdentity:
 
 
 class TestMonotoneSpline:
+    """The tables' monotone cubic, through ``QuantileTable`` and its lookups.
+
+    Each table is two copies of one row; knots are in t = q/(1+q).
+    """
+
+    @staticmethod
+    def table(t, y):
+        return tables.QuantileTable("even", (4.0, math.inf), np.asarray(t),
+                                    np.vstack([y, y]))
+
+    @staticmethod
+    def spline(tab):
+        return lambda x: tables._cubic(tab.knots_t, tab.probs[0],
+                                       tab.tangents[0], x)
+
     def test_knot_exactness(self):
-        t = np.array([0.0, 0.3, 0.5, 0.9, 1.4])
+        t = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
         y = np.array([0.0, 0.2, 0.2, 0.8, 1.0])
-        s = MonotoneSpline(t, y)
+        s = self.spline(self.table(t, y))
         for ti, yi in zip(t, y):
             assert s(ti) == yi
 
     def test_monotone_between_knots(self):
         rng = np.random.default_rng(3)
-        t = np.sort(rng.uniform(0, 5, size=12))
+        t = np.sort(rng.uniform(0, 1, size=12))
         y = np.cumsum(rng.uniform(0, 1, size=12))
         y[4] = y[3]  # flat stretch must stay flat, not overshoot
-        y = np.sort(y)
-        s = MonotoneSpline(t, y)
+        y = np.sort(y) / y.max()
+        tab = self.table(t, y)
+        s = self.spline(tab)
         xs = np.linspace(t[0], t[-1], 2000)
         vals = np.array([s(x) for x in xs])
         assert np.all(np.diff(vals) >= -1e-13)
         assert vals.min() >= y[0] - 1e-13 and vals.max() <= y[-1] + 1e-13
+        # lookups evaluate the same cubic
+        qs = xs[:-1] / (1.0 - xs[:-1])
+        got = np.array([tables.interp_probability(tab, 4, q) for q in qs])
+        assert np.all(np.diff(got) >= -1e-13)
 
     def test_no_local_overshoot(self):
-        t = np.array([0.0, 1.0, 2.0, 3.0])
+        t = np.array([0.0, 0.25, 0.5, 1.0])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        s = MonotoneSpline(t, y)
-        xs = np.linspace(0.0, 3.0, 500)
+        s = self.spline(self.table(t, y))
+        xs = np.linspace(0.0, 1.0, 500)
         vals = np.array([s(x) for x in xs])
         assert vals.min() >= -1e-14 and vals.max() <= 1.0 + 1e-14
         # within each panel the value stays inside the bracketing knot values
@@ -214,28 +234,38 @@ class TestMonotoneSpline:
             assert np.all(vals[inside] <= yb + 1e-14)
 
     def test_domain_enforced(self):
-        s = MonotoneSpline(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        # knots on [0.2, 0.8]: q = 0 and q = 9 fall outside the span
+        tab = self.table([0.2, 0.8], [0.0, 1.0])
+        with pytest.raises(DomainError, match="outside knot span"):
+            tables.interp_probability(tab, 4, 0.0)
+        with pytest.raises(DomainError, match="outside knot span"):
+            tables.interp_probability(tab, math.inf, 9.0)
+        s = self.spline(tab)
         with pytest.raises(DomainError):
-            s(-0.001)
+            s(0.199)
         with pytest.raises(DomainError):
-            s(1.001)
+            s(0.801)
 
     def test_validation(self):
-        good_t = np.array([0.0, 1.0, 2.0])
+        good_t = np.array([0.0, 0.5, 1.0])
         good_y = np.array([0.0, 0.5, 1.0])
-        with pytest.raises(DomainError):
-            MonotoneSpline(np.array([0.0, 0.0, 1.0]), good_y)  # ties in t
-        with pytest.raises(DomainError):
-            MonotoneSpline(good_t, np.array([0.0, 0.5, 0.4]))  # decreasing y
-        with pytest.raises(DomainError):
-            MonotoneSpline(good_t, np.array([0.0, 0.5]))  # length mismatch
-        with pytest.raises(DomainError):
-            MonotoneSpline(np.array([0.0]), np.array([1.0]))  # too few knots
-        with pytest.raises(DomainError):
-            MonotoneSpline(good_t, np.array([0.0, np.nan, 1.0]))
+        cases = (
+            (np.array([0.0, 0.0, 1.0]), good_y, "strictly increasing"),  # tie
+            (np.array([0.0, 0.6, 0.5]), good_y, "strictly increasing"),
+            (good_t, np.array([0.0, 0.6, 0.5]), "non-decreasing"),
+            (good_t, np.array([0.0, 0.5]), "shape"),  # length mismatch
+            (np.array([1.0]), np.array([1.0]), "at least two knots"),
+            (good_t, np.array([0.0, np.nan, 1.0]), "finite"),
+            (np.array([0.0, np.nan, 1.0]), good_y, "finite"),
+        )
+        self.table(good_t, good_y)
+        for t, y, message in cases:
+            with pytest.raises(DataError, match=message):
+                self.table(t, y)
 
     def test_scalar_in_scalar_out(self):
-        s = MonotoneSpline(np.array([0.0, 2.0]), np.array([1.0, 3.0]))
-        out = s(1.0)
+        tab = self.table([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+        out = tables.interp_probability(tab, 4, 1 / 3)  # t = 0.25
         assert isinstance(out, float)
-        assert abs(out - 2.0) < 1e-14
+        assert abs(out - 0.25) < 1e-14
+        assert isinstance(self.spline(tab)(0.25), float)

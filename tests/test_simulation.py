@@ -76,6 +76,18 @@ class TestConfig:
         with pytest.raises(DomainError):
             calibrate_pwch_quantile(10, 1.0, 2000, seed=0)
 
+    def test_empty_level_list_rejected_before_any_draw(self, monkeypatch):
+        import msdstat.simulation as simulation
+
+        def no_draws(*args):
+            raise AssertionError("a replicate was scored")
+
+        monkeypatch.setattr(simulation, "qe_values", no_draws)
+        with pytest.raises(DataError, match="need at least one quantile level"):
+            simulate_multi_quantiles(10, (), 2000, seed=0)
+        with pytest.raises(DataError, match="need at least one quantile level"):
+            BootstrapConfig(levels=())
+
     def test_power_grid_and_critical_validated(self):
         with pytest.raises(DataError):
             simulate_power("msd", 10, (), 100, seed=0, critical=1.5)

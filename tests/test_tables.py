@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -106,7 +107,7 @@ class TestTableType:
             QuantileTable("even", (4.0, math.inf), t, bad)  # decreasing row
 
     def test_loaded_table_freed_after_lookups(self, tmp_path):
-        # the spline cache lives on the table, so it must not keep it alive
+        # lookups must keep no reference to a loaded table alive
         path = tmp_path / "table.csv"
         save_table(build_table("even", max_n=8), path)
         tab = load_table(path)
@@ -147,6 +148,21 @@ class TestPersistence:
             load_table(path)
         path.write_text("# parity: even\nknots,0.0,0.5,1.0\n4,0.0,zebra,1.0\n")
         with pytest.raises(DataError, match="unparseable"):
+            load_table(path)
+        head = "# parity: even\nknots,0.0,0.5,1.0\n"
+        for body, message in (
+                ("four,0.0,0.5,1.0\n", r":3: size 'four' is not an integer"),
+                ("4.5,0.0,0.5,1.0\n", r":3: size '4\.5' is not an integer"),
+                ("2,0.0,0.5,1.0\n", r":3: size '2' is not an integer >= 3"),
+                ("1" + "0" * 400 + ",0.0,0.5,1.0\n", r":3: size '10+'"),
+                ("4,0.0,0.5,1.0\ninf,0.0,1.0\n",
+                 r":4: 2 values where earlier lines have 3")):
+            path.write_text(head + body)
+            with pytest.raises(DataError, match=re.escape(str(path)) + message):
+                load_table(path)
+        path.write_bytes(head.encode() + "4,0.0,0.5,1.0 # \u00e9\n".encode())
+        with pytest.raises(DataError,
+                           match=re.escape(str(path)) + ":3: non-ASCII byte 0xc3"):
             load_table(path)
 
 
