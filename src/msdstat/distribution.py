@@ -107,6 +107,9 @@ def _validate_p(p) -> float:
 
 def _validate_levels(ps) -> tuple[float, ...]:
     """A list of quantile levels: each one a probability, at least one."""
+    if isinstance(ps, str) or not np.iterable(ps):
+        raise DataError(
+            f"quantile levels must be a list of probabilities, got {ps!r}")
     levels = tuple(_validate_p(p) for p in ps)
     if not levels:
         raise DataError("need at least one quantile level")

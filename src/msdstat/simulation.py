@@ -17,7 +17,7 @@ import numpy as np
 
 from .distribution import _check_int, _check_n, _validate_levels
 from .errors import DataError
-from .statistic import pwch_values, qe_values
+from .statistic import _mean_square, _median_abs, _sliced, pwch_values, qe_values
 
 __all__ = [
     "BLOCK",
@@ -33,7 +33,8 @@ __all__ = [
 
 BLOCK = 4096
 
-_STATISTICS = {"msd": qe_values, "pwch": pwch_values}
+# power and resistance runs score the subject, lab 0, alone
+_STATISTICS = {"msd": _median_abs, "pwch": _mean_square}
 
 
 def _blocks(seed: int, replicates: int, key: tuple[int, ...] = ()):
@@ -130,7 +131,7 @@ def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
     if statistic not in _STATISTICS:
         raise DataError(
             f"statistic must be one of {sorted(_STATISTICS)}, got {statistic!r}")
-    stat_fn = _STATISTICS[statistic]
+    kernel = _STATISTICS[statistic]
     n = _check_n(n)
     if not (math.isfinite(critical) and critical > 0):
         raise DataError(f"critical value must be positive, got {critical}")
@@ -143,7 +144,7 @@ def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
         for rng, c in _blocks(seed, replicates, (j,)):
             z = rng.standard_normal((c, n))
             z[:, contaminated_index] += delta
-            subject = stat_fn(z, u)[:, 0]
+            subject = _sliced(kernel, z, u, rows=(0,))[:, 0]
             counts[j] += int((subject > critical).sum())
     prop = counts / replicates
     se = np.sqrt(prop * (1.0 - prop) / replicates)

@@ -89,8 +89,11 @@ class MsdResult:
         return {lab: float(q) for lab, q in zip(self.labels, self.q_e)}
 
 
-# Pair elements each batch temporary holds at once (0.5 MiB of float64):
-# the kernels' working set stays fixed however many datasets they score.
+# Pair elements in the one buffer a batch call reuses for every slice
+# (0.5 MiB of float64). A u shared by every dataset adds the scale matrix
+# of the scored rows against all n labs, once per call; a u per dataset
+# adds a second buffer of this size for each slice's scales. Either way
+# the working set stays fixed however many datasets the kernels score.
 BUDGET = 1 << 16
 
 
@@ -106,23 +109,31 @@ def pair_matrix(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return dx / s
 
 
-def _median_abs(d: np.ndarray) -> np.ndarray:
+def _median_abs(d: np.ndarray, i, j) -> np.ndarray:
+    """Median of |d| along the last axis, computed in place in ``d``.
+
+    ``d[..., i, j]`` are the self-pairs, d_ii. They are marked ``nan``,
+    which partition sorts last, past every partner difference; a 0/0
+    partner is ``nan`` too and sorts with them. For an even partner count
+    (n odd) one partition at the upper central position suffices: the
+    elements before it are the lower half, and their maximum, the lower
+    central order statistic, is ``nan`` only when the upper one is too.
+    """
     n = d.shape[-1]
-    a = np.abs(d)
-    idx = np.arange(n)
-    a[..., idx, idx] = np.nan  # partition sorts nan last, past every difference
-    m = n - 1
-    half = m // 2
-    if m % 2:
-        part = np.partition(a, half, axis=-1)
-        return part[..., half]
-    part = np.partition(a, (half - 1, half), axis=-1)
-    return 0.5 * (part[..., half - 1] + part[..., half])
+    a = np.abs(d, out=d)
+    a[..., i, j] = np.nan
+    half = (n - 1) // 2
+    a.partition(half, axis=-1)
+    if n % 2:
+        lower = a[..., :half].max(axis=-1, initial=-np.inf)  # n = 1: no partner
+        return 0.5 * (lower + a[..., half])
+    return a[..., half]
 
 
-def _mean_square(d: np.ndarray) -> np.ndarray:
+def _mean_square(d: np.ndarray, i, j) -> np.ndarray:
     n = d.shape[-1]
-    return (d * d).sum(axis=-1) / (n - 1)  # diagonal contributes zero
+    sq = np.multiply(d, d, out=d)
+    return sq.sum(axis=-1) / (n - 1)  # the zero self-pairs add nothing
 
 
 # Inside 2**±500 the squares in u_i**2 + u_j**2 neither underflow nor overflow.
@@ -147,21 +158,47 @@ def _rescaled(x: np.ndarray, u: np.ndarray):
     return np.ldexp(x, shift), np.ldexp(u, shift)
 
 
-def _sliced(kernel, x, u) -> np.ndarray:
-    """Run ``kernel`` on the pair matrices of max(1, BUDGET // n**2)
-    datasets at a time."""
+def _sliced(kernel, x, u, rows=None) -> np.ndarray:
+    """Run ``kernel`` on the scaled differences of ``rows`` (every
+    observation by default) against all partners, for max(1, BUDGET //
+    (len(rows) * n)) datasets at a time.
+
+    Each slice's differences are written into one buffer allocated per
+    call, which ``kernel`` may overwrite; its result is copied out before
+    the next slice. The scales sqrt(u_i**2 + u_j**2) form one matrix per
+    call when ``u`` is one row shared by every dataset, and are built in a
+    second buffer, slice by slice, when ``u`` differs per dataset.
+    """
     x, u = _rescaled(np.asarray(x, dtype=float),
                      np.atleast_1d(np.asarray(u, dtype=float)))
-    x, u = np.broadcast_arrays(x, u)
-    n = x.shape[-1]
-    flat_x = x.reshape(-1, n)
-    flat_u = u.reshape(-1, n)
-    step = max(1, BUDGET // (n * n))
-    out = np.empty(flat_x.shape)
+    shape = np.broadcast_shapes(x.shape, u.shape)
+    n = shape[-1]
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    self_pairs = (np.arange(rows.size), rows)
+    flat_x = np.broadcast_to(x, shape).reshape(-1, n)
+    step = max(1, BUDGET // (rows.size * n))
+    buf = np.empty((min(step, len(flat_x)), rows.size, n))
+    shared = u.ndim == 1
+    if shared:
+        u2 = np.broadcast_to(u, (n,)) ** 2
+        scale = np.sqrt(u2[rows, None] + u2)
+    else:
+        flat_u = np.broadcast_to(u, shape).reshape(-1, n)
+        scale_buf = np.empty_like(buf)
+    out = np.empty((len(flat_x), rows.size))
     for lo in range(0, len(flat_x), step):
         sl = slice(lo, lo + step)
-        out[sl] = kernel(pair_matrix(flat_x[sl], flat_u[sl]))
-    return out.reshape(x.shape)
+        xs = flat_x[sl]
+        d = buf[:len(xs)]
+        if not shared:
+            u2 = flat_u[sl] ** 2
+            scale = scale_buf[:len(xs)]
+            np.sqrt(np.add(u2[:, rows, None], u2[:, None, :], out=scale),
+                    out=scale)
+        np.subtract(xs[:, rows, None], xs[:, None, :], out=d)
+        np.divide(d, scale, out=d)
+        out[sl] = kernel(d, *self_pairs)
+    return out.reshape(shape[:-1] + (rows.size,))
 
 
 def qe_values(x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -50,7 +50,7 @@ class TestConfig:
         for bad in ((0.0,), (1.0,)):
             with pytest.raises(DomainError):
                 BootstrapConfig(levels=bad)
-        for bad in ((), (0.99, 0.95), (0.95, 0.95)):
+        for bad in ((), (0.99, 0.95), (0.95, 0.95), 0.95, "0.95"):
             with pytest.raises(DataError):
                 BootstrapConfig(levels=bad)
 

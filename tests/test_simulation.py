@@ -76,6 +76,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             calibrate_pwch_quantile(10, 1.0, 2000, seed=0)
 
+    def test_bare_probability_is_not_a_level_list(self):
+        for bad in (0.95, np.float64(0.95), "0.95"):
+            with pytest.raises(DataError, match="list of probabilities"):
+                simulate_multi_quantiles(10, bad, 1000, seed=0)
+
     def test_empty_level_list_rejected_before_any_draw(self, monkeypatch):
         import msdstat.simulation as simulation
 

@@ -14,7 +14,16 @@ from msdstat import (
     msd,
     pairwise_chisq,
 )
-from msdstat.statistic import BUDGET, pair_matrix, pwch_values, qe_values
+from msdstat.statistic import (
+    BUDGET,
+    _mean_square,
+    _median_abs,
+    _rescaled,
+    _sliced,
+    pair_matrix,
+    pwch_values,
+    qe_values,
+)
 
 import property_checks as props
 
@@ -133,6 +142,9 @@ class TestMedianConvention:
         qe = msd(ds).by_label()["A"]
         assert abs(qe - 0.5 * (3.0 + 6.0) / math.sqrt(2.0)) < 1e-14
 
+    def test_no_partner_scores_nan(self):
+        assert np.isnan(qe_values(np.ones((2, 1)), np.ones(1))).all()
+
     def test_symmetric_three_points(self):
         ds = Dataset.from_arrays("ABC", (0.0, 1.0, 2.0), (1.0,) * 3)
         qe = msd(ds).by_label()["B"]
@@ -210,16 +222,37 @@ class TestBatchSlices:
                 qe_values(x[:-1].reshape(shaped), uk[:-1].reshape(shaped)),
                 want_qe[:-1].reshape(shaped))
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_chosen_rows_match_full_kernel(self, n):
+        # the subject-row path of the power and resistance runs, over two
+        # slices, equals the matching columns of every observation's scores
+        batch = BUDGET // n + 3
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(batch, n))
+        for u in (rng.uniform(0.5, 2.0, size=n),
+                  rng.uniform(0.5, 2.0, size=(batch, n))):
+            for kernel, full in ((_median_abs, qe_values(x, u)),
+                                 (_mean_square, pwch_values(x, u))):
+                for rows in ((0,), (3, 0)):
+                    got = _sliced(kernel, x, u, rows=rows)
+                    assert np.array_equal(got, full[:, list(rows)])
+
     def test_working_set_independent_of_batch(self):
-        x = np.random.default_rng(3).normal(size=(4096, 100))
-        u = np.ones(100)
-        tracemalloc.start()
-        try:
-            qe_values(x, u)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        # tracemalloc peak less the output: one 0.5 MiB pair buffer, plus
+        # the n x n scale matrix for a shared u, or a second buffer for
+        # the scales of a u per dataset
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(4096, 100))
+        for u, bound in ((np.ones(100), 1.0),
+                         (rng.uniform(0.5, 2.0, size=x.shape), 1.5)):
+            tracemalloc.start()
+            try:
+                got = qe_values(x, u)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2 ** 20
+            assert peak - got.nbytes < bound * 2 ** 20
 
 
 class TestExtremeScales:
@@ -264,6 +297,23 @@ class TestExtremeScales:
         with np.errstate(all="ignore"):
             got = qe_values(np.ones(4), np.array([1e-320] * 3 + [1e300]))
         assert np.isnan(got[:3]).all() and got[3] == 0.0
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_odd_n_median_with_nan_partners(self, n):
+        # k tied labs with u = 1e-320 make k - 1 partners 0/0 = nan for
+        # each other; the one-partition median must equal a sort-based
+        # one, nan last, for every k
+        rng = np.random.default_rng(n)
+        for k in range(n + 1):
+            x = np.concatenate([np.ones(k), rng.normal(size=n - k) * 1e298])
+            u = np.array([1e-320] * k + [1e300] * (n - k))
+            with np.errstate(all="ignore"):
+                got = qe_values(x, u)
+                a = np.abs(pair_matrix(*_rescaled(x, u)))
+            a = np.sort(a[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=-1)
+            half = (n - 1) // 2
+            want = 0.5 * (a[:, half - 1] + a[:, half])
+            assert np.array_equal(got, want, equal_nan=True), k
 
 
 class TestMonotoneResponse:
