@@ -1,7 +1,9 @@
 """Command-line surface for the pairwise median scaled difference toolkit.
 
 Exit codes: 0 success, 2 usage errors, 3 input/validation problems
-(including unreadable or unwritable paths), 4 numeric failures.
+(including unreadable or unwritable paths), 4 numeric failures. The root
+group maps library errors onto these codes for every command, the
+``tables`` and ``simulate`` subcommands included.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ from .tables import (
     default_table,
     interp_quantile,
     load_table,
-    multi_quantile_adjusted,
     save_table,
 )
 
@@ -59,7 +60,12 @@ def _run(fn):
     return wrapper
 
 
-@click.group()
+class _Root(click.Group):
+    def invoke(self, ctx):
+        return _run(super().invoke)(ctx)
+
+
+@click.group(cls=_Root)
 @click.version_option(version=__version__, prog_name="msd")
 def entrypoint():
     """Flag anomalous results in location/uncertainty data.
@@ -77,7 +83,8 @@ def _tables_dir(flag_value) -> Path | None:
     return Path(env) if env else None
 
 
-def _table_for(parity: str, tables: Path | None):
+def _table_for(n: int, tables: Path | None):
+    parity = "even" if n % 2 == 0 else "odd"
     if tables is None:
         return default_table(parity)
     return load_table(tables / _table_file(parity))
@@ -85,11 +92,10 @@ def _table_for(parity: str, tables: Path | None):
 
 def _critical_value(n: int, p: float, mode: str, table):
     """Level-p critical value, exact when ``table`` is None, else tabulated."""
+    level = _observation_level(p, n) if mode == "multiple" else p
     if table is None:
-        return (multi_quantile_adjusted(n, p) if mode == "multiple"
-                else quantile(p, n))
-    return interp_quantile(table, n, _observation_level(p, n)
-                           if mode == "multiple" else p)
+        return quantile(level, n)
+    return interp_quantile(table, n, level)
 
 
 def _dump_json(doc) -> str:
@@ -134,14 +140,12 @@ def _mark(flag: bool) -> str:
                    f"distribution, or ${TABLES_ENV} when set).")
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
               default="text", show_default=True)
-@_run
 def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
     """Score every observation in a study file and flag anomalies."""
     ds = load_study(input_path)
-    scores = msd(ds).by_label()
     parity = "even" if ds.n % 2 == 0 else "odd"
     tables = _tables_dir(tables)
-    table = None if tables is None else _table_for(parity, tables)
+    table = None if tables is None else _table_for(ds.n, tables)
     crit = tuple(_critical_value(ds.n, p, mode, table) for p in _LEVELS)
     provenance = "exact" if tables is None else str(tables)
     report = None
@@ -152,8 +156,7 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
     brows = (None,) * ds.n if report is None else report.rows
 
     rows = []
-    for obs, brow in zip(ds.observations, brows):
-        qe = scores[obs.label]
+    for obs, qe, brow in zip(ds.observations, msd(ds).q_e.tolist(), brows):
         rows.append({
             "lab": obs.label,
             "value": obs.value,
@@ -216,7 +219,6 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
               default="text", show_default=True)
-@_run
 def bootstrap_cmd(input_path, replicates, seed, fmt):
     """Case-specific bootstrap quantiles and p-values for a study file."""
     ds = load_study(input_path)
@@ -259,12 +261,9 @@ def bootstrap_cmd(input_path, replicates, seed, fmt):
               help="'multiple' adjusts p for a whole-dataset screen.")
 @click.option("--method", type=click.Choice(["exact", "table"]),
               default="exact", show_default=True)
-@_run
 def quantile_cmd(n, p, mode, method):
     """Print a critical value of the statistic under exchangeable data."""
-    table = None
-    if method == "table":
-        table = _table_for("even" if n % 2 == 0 else "odd", _tables_dir(None))
+    table = _table_for(n, _tables_dir(None)) if method == "table" else None
     click.echo(f"{_critical_value(n, p, mode, table):.6g}")
 
 
@@ -280,7 +279,6 @@ def tables():
               required=True, help="Directory the table files are written to.")
 @click.option("--max-n", type=click.IntRange(min=3), default=None,
               help="Cap on the tabulated sizes, for quick partial builds.")
-@_run
 def tables_generate(parity, out, max_n):
     """Rebuild the interpolation tables from the exact distribution."""
     out.mkdir(parents=True, exist_ok=True)
@@ -321,12 +319,6 @@ def _emit(lines, out: Path | None):
         click.echo(f"wrote {out}")
 
 
-def _default_critical(statistic: str, n: int, seed: int) -> float:
-    if statistic == "msd":
-        return quantile(0.95, n)
-    return calibrate_pwch_quantile(n, 0.95, 200_000, seed)
-
-
 @entrypoint.group()
 def simulate():
     """Seeded Monte Carlo studies; output is plot-ready delimited text."""
@@ -341,7 +333,6 @@ def simulate():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
               default=None)
-@_run
 def simulate_table3(n, p, replicates, seed, out):
     """Empirical multiple-observation critical value for one study size."""
     (est,) = simulate_multi_quantiles(n, (p,), replicates, seed)
@@ -352,64 +343,42 @@ def simulate_table3(n, p, replicates, seed, out):
     ], out)
 
 
-def _power_like(kind, runner, statistic, n, grid, replicates, seed, critical,
-                out):
-    if critical is None:
-        critical = _default_critical(statistic, n, seed)
-    curve = runner(statistic, n, grid, replicates, seed, critical)
-    lines = [
-        f"# {kind}; statistic={statistic} n={n} replicates={replicates} "
-        f"seed={seed} critical={critical!r}",
-        "delta,proportion,std_error",
-    ]
-    lines += [f"{d:g},{float(p)!r},{float(s)!r}" for d, p, s in
-              zip(curve.grid, curve.proportion, curve.std_error)]
-    _emit(lines, out)
+def _grid_study(kind, runner, grid, grid_help, doc):
+    @simulate.command(kind, help=doc)
+    @click.option("--grid", callback=_parse_grid, default=grid,
+                  show_default=True, help=grid_help)
+    @click.option("--stat", "statistic", type=click.Choice(["msd", "pwch"]),
+                  default="msd", show_default=True)
+    @click.option("--n", type=click.IntRange(min=3), default=10,
+                  show_default=True)
+    @click.option("--replicates", type=int, default=10_000, show_default=True)
+    @click.option("--seed", type=int, default=0, show_default=True)
+    @click.option("--critical", type=float, default=None,
+                  help="Detection threshold (default: the 95% critical value, "
+                       "exact for msd, self-calibrated for pwch).")
+    @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
+                  default=None)
+    def command(grid, statistic, n, replicates, seed, critical, out):
+        if critical is None:
+            critical = (quantile(0.95, n) if statistic == "msd" else
+                        calibrate_pwch_quantile(n, 0.95, 200_000, seed))
+        curve = runner(statistic, n, grid, replicates, seed, critical)
+        lines = [
+            f"# {kind}; statistic={statistic} n={n} replicates={replicates} "
+            f"seed={seed} critical={critical!r}",
+            "delta,proportion,std_error",
+        ]
+        lines += [f"{d:g},{float(p)!r},{float(s)!r}" for d, p, s in
+                  zip(curve.grid, curve.proportion, curve.std_error)]
+        _emit(lines, out)
 
 
-_POWER_OPTIONS = (
-    click.option("--stat", "statistic", type=click.Choice(["msd", "pwch"]),
-                 default="msd", show_default=True),
-    click.option("--n", type=click.IntRange(min=3), default=10,
-                 show_default=True),
-    click.option("--replicates", type=int, default=10_000, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--critical", type=float, default=None,
-                 help="Detection threshold (default: the 95% critical value, "
-                      "exact for msd, self-calibrated for pwch)."),
-    click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
-                 default=None),
-)
-
-
-def _with_power_options(fn):
-    for option in reversed(_POWER_OPTIONS):
-        fn = option(fn)
-    return fn
-
-
-@simulate.command("power")
-@click.option("--grid", callback=_parse_grid, default="0:5:0.25",
-              show_default=True, help="Subject displacement grid LO:HI:STEP.")
-@_with_power_options
-@_run
-def simulate_power_cmd(grid, statistic, n, replicates, seed, critical, out):
-    """Detection rate as the subject observation is displaced."""
-    _power_like("power", simulate_power, statistic, n, grid, replicates,
-                seed, critical, out)
-
-
-@simulate.command("resistance")
-@click.option("--grid", callback=_parse_grid, default="-8:8:1",
-              show_default=True,
-              help="Contaminant displacement grid LO:HI:STEP.")
-@_with_power_options
-@_run
-def simulate_resistance_cmd(grid, statistic, n, replicates, seed, critical,
-                            out):
-    """False-alarm rate on a null subject while another value wanders."""
-    _power_like("resistance", simulate_resistance, statistic, n, grid,
-                replicates, seed, critical, out)
+_grid_study("power", simulate_power, "0:5:0.25",
+            "Subject displacement grid LO:HI:STEP.",
+            "Detection rate as the subject observation is displaced.")
+_grid_study("resistance", simulate_resistance, "-8:8:1",
+            "Contaminant displacement grid LO:HI:STEP.",
+            "False-alarm rate on a null subject while another value wanders.")
 
 
 @simulate.command("hetero")
@@ -419,7 +388,6 @@ def simulate_resistance_cmd(grid, statistic, n, replicates, seed, critical,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
               default=None)
-@_run
 def simulate_hetero(sizes, replicates, seed, out):
     """Rule-of-thumb exceedance rates under chi-squared(3) variances."""
     study = simulate_hetero_guideline(sizes, replicates, seed)

@@ -447,6 +447,26 @@ class TestExitCodeMapping:
         assert result.exit_code == 4
         assert "quadrature budget exhausted" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["quantile", "--n", "13", "--p", "0.95"],
+        ["analyze"],
+        ["simulate", "power", "--replicates", "100"],
+        ["simulate", "resistance", "--replicates", "100"],
+    ], ids=lambda args: " ".join(args))
+    def test_numeric_failure_in_a_command_exits_4(self, runner, study_path,
+                                                   monkeypatch, args):
+        def fail(p, n):
+            raise ConvergenceError("root search did not converge")
+
+        monkeypatch.setattr("msdstat.cli.quantile", fail)
+        monkeypatch.delenv(TABLES_ENV, raising=False)
+        if args == ["analyze"]:
+            args = args + [str(study_path)]
+        result = runner.invoke(entrypoint, args)
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr == "error: root search did not converge\n"
+
     def test_unknown_subcommand_exits_2(self, runner):
         result = runner.invoke(entrypoint, ["frobnicate"])
         assert result.exit_code == 2

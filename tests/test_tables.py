@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from msdstat import distribution, tables
 from msdstat import (
     DataError,
     DomainError,
@@ -140,6 +141,20 @@ class TestPersistence:
         save_table(build_table("odd", max_n=9), p3)
         b1, b2, b3 = (p.read_bytes() for p in (p1, p2, p3))
         assert b1 == b2 == b3
+
+    def test_header_records_build_constants(self, tmp_path):
+        path = tmp_path / "table.csv"
+        save_table(build_table("even", max_n=8), path)
+        header = dict(line[2:].split(": ", 1)
+                      for line in path.read_text().splitlines()
+                      if line.startswith("# ") and ": " in line)
+        tolerances = re.findall(r"\d[\d.]*e-\d+", header["build tolerances"])
+        assert [float(t) for t in tolerances] == [
+            distribution._EVEN_TOL, distribution._ODD_INNER_TOL,
+            distribution._ODD_OUTER_TOL]
+        assert f"odd rows stop at {tables._ODD_ROWS[-1]} " in header["size grid"]
+        assert (f"odd n > {distribution._ODD_EXACT_LIMIT} "
+                in header["size grid"])
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
