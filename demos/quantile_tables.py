@@ -6,7 +6,10 @@
 # interactively but slow inside tight loops, especially for odd sizes
 # where the integral is two-dimensional. The package ships pre-built
 # monotone-spline tables over a transformed probability axis; lookups are
-# sub-millisecond and agree with the exact values to a few parts in 1e4.
+# sub-millisecond. Single-observation quantiles at 0.95 and 0.99 agree with
+# the exact values to about 2e-4. Whole-dataset levels p**(1/n) miss more as
+# n grows (2.3e-2 at n = 1000 and p = 0.99), and probabilities near the
+# support edge q = 0.48 miss by up to 4.2e-2 (ROADMAP items 1 and 5).
 
 import time
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distribution import _check_int, _validate_levels
 from .errors import DataError
-from .simulation import _blocks
+from .simulation import _QUANTILE_METHOD, _blocks
 from .statistic import Dataset, qe_values
 
 __all__ = [
@@ -27,11 +27,6 @@ __all__ = [
     "bootstrap_msd",
     "holm_adjust",
 ]
-
-# numpy's empirical quantile convention for every bootstrap quantile; the
-# report names it, so the reported and the used convention are one
-_QUANTILE_METHOD = "linear"
-
 
 @dataclass(frozen=True)
 class BootstrapConfig:

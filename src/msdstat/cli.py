@@ -7,7 +7,6 @@ group maps library errors onto these codes for every command, the
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -45,24 +44,17 @@ _LEVELS = (0.95, 0.99)
 _NONFINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
 
-def _run(fn):
-    # map library failures onto the documented exit codes
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Root(click.Group):
+    def invoke(self, ctx):
+        # map library failures onto the documented exit codes
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ConvergenceError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
         except (DataError, DomainError, TableRangeError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
-    return wrapper
-
-
-class _Root(click.Group):
-    def invoke(self, ctx):
-        return _run(super().invoke)(ctx)
 
 
 @click.group(cls=_Root)
@@ -302,12 +294,9 @@ def _parse_grid(ctx, param, value):
 
 def _parse_sizes(ctx, param, value):
     try:
-        sizes = tuple(int(t) for t in value.split(","))
-        if not sizes:
-            raise ValueError
+        return tuple(int(t) for t in value.split(","))
     except ValueError:
         raise click.BadParameter("expected a comma-separated list of sizes")
-    return sizes
 
 
 def _emit(lines, out: Path | None):

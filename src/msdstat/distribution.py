@@ -116,30 +116,39 @@ def _validate_levels(ps) -> tuple[float, ...]:
     return levels
 
 
-def cdf_even(q, n) -> float:
-    """Marginal P(Q_E <= q) for even n.
+def _marginal_cdf(q, n, parity: str, conditional, tol: float) -> float:
+    """P(Q_E <= q) = 2 * int_0^cutoff P(median <= q | x0) phi(x0) dx0.
 
-    The conditional probability that the median of an odd count n-1 of
-    differences is at most q equals the probability of at least r = n/2
-    successes in n-1 trials with success probability F(q | x0), i.e. the
-    regularized incomplete beta I_{F(q|x0)}(r, n-r).
+    ``cdf_even`` and ``cdf_odd`` differ only in the conditional probability,
+    ``conditional(q, x0, r)`` with r = n // 2, and the outer tolerance.
     """
     q = _validate_q(q)
     n = _check_n(n)
-    if n % 2:
-        raise DomainError(f"cdf_even requires even n, got {n}")
+    if ("odd" if n % 2 else "even") != parity:
+        raise DomainError(f"cdf_{parity} requires {parity} n, got {n}")
     if q == 0.0:
         return 0.0
-    from scipy import special
-
     r = n // 2
 
-    def integrand(x0):
-        f = conditional_cdf(q, x0)
-        return special.betainc(r, n - r, f) * _norm_pdf(x0)
+    def outer(x0):
+        return conditional(q, x0, r) * _norm_pdf(x0)
 
-    val = 2.0 * integrate(integrand, 0.0, _X0_CUTOFF, tol=0.5 * _EVEN_TOL)
+    val = 2.0 * integrate(outer, 0.0, _X0_CUTOFF, tol=tol)
     return min(max(val, 0.0), 1.0)
+
+
+def _even_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
+    """P(median of 2r - 1 differences <= q | x0), batched over x0: the
+    probability of r or more successes in 2r - 1 trials of success
+    probability F(q | x0), the regularized incomplete beta I_F(r, r)."""
+    from scipy import special
+
+    return special.betainc(r, r, conditional_cdf(q, x0))
+
+
+def cdf_even(q, n) -> float:
+    """Marginal P(Q_E <= q) for even n, in closed form given x0."""
+    return _marginal_cdf(q, n, "even", _even_conditional_cdf, 0.5 * _EVEN_TOL)
 
 
 def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
@@ -178,10 +187,7 @@ def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
             log_sf1 = np.log(sf1)
             ratio_log = r * (np.log(sf2) - log_sf1)
             diff = np.where(sf1 > 0.0, -np.exp(r * log_sf1) * np.expm1(ratio_log), 0.0)
-        if r > 1:
-            body = np.power(f_cdf, r - 1) * diff
-        else:
-            body = diff
+        body = np.power(f_cdf, r - 1) * diff  # F^0 is exactly 1 at r = 1
         pdf = _SQRT2 * (np.exp(-0.5 * np.square(s - a))
                         + np.exp(-0.5 * np.square(s + a))) / math.sqrt(2.0 * math.pi)
         return const * body * pdf
@@ -191,19 +197,7 @@ def _odd_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
 
 def cdf_odd(q, n) -> float:
     """Marginal P(Q_E <= q) for odd n by the nested double integral."""
-    q = _validate_q(q)
-    n = _check_n(n)
-    if n % 2 == 0:
-        raise DomainError(f"cdf_odd requires odd n, got {n}")
-    if q == 0.0:
-        return 0.0
-    r = n // 2
-
-    def outer(x0):
-        return _odd_conditional_cdf(q, x0, r) * _norm_pdf(x0)
-
-    val = 2.0 * integrate(outer, 0.0, _X0_CUTOFF, tol=_ODD_OUTER_TOL)
-    return min(max(val, 0.0), 1.0)
+    return _marginal_cdf(q, n, "odd", _odd_conditional_cdf, _ODD_OUTER_TOL)
 
 
 def cdf_asymptotic(q) -> float:

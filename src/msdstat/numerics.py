@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -112,13 +113,10 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     a, b = edges[:-1], edges[1:]
     vals, errs = _panel_rule(f, a, b)
 
-    while True:
-        if errs.sum() <= tol:
-            break
-        budget = 0.5 * tol * (b - a) / width
-        split = errs > budget
-        if not split.any():
-            break
+    # the panel budgets sum to tol / 2, so while the errors exceed tol
+    # some panel is over its budget and gets split
+    while errs.sum() > tol:
+        split = errs > 0.5 * tol * (b - a) / width
         if a.size + split.sum() > _MAX_INTERVALS:
             raise ConvergenceError(
                 f"integral did not converge within {_MAX_INTERVALS} panels "
@@ -138,9 +136,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return math.fsum(vals)
 
 
-_CC_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _cc_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Clenshaw-Curtis nodes cos(pi j / m), j = 0..m, and weights on [-1, 1].
 
@@ -150,18 +146,16 @@ def _cc_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     k = 1..m/2, with c_j = 1 at the ends and 2 inside, b_k = 1 at k = m/2
     and 2 below it.
     """
-    if m not in _CC_CACHE:
-        cos = [math.cos(math.pi * i / m) for i in range(2 * m)]  # cos(pi i / m)
-        half = m // 2
-        w = [0.0] * (m + 1)
-        for j in range(half + 1):
-            acc = 1.0
-            for k in range(1, half + 1):
-                b = 1.0 if k == half else 2.0
-                acc -= b * cos[(2 * k * j) % (2 * m)] / (4 * k * k - 1)
-            w[j] = w[m - j] = (1.0 if j == 0 else 2.0) * acc / m
-        _CC_CACHE[m] = (np.array(cos[:m + 1]), np.array(w))
-    return _CC_CACHE[m]
+    cos = [math.cos(math.pi * i / m) for i in range(2 * m)]  # cos(pi i / m)
+    half = m // 2
+    w = [0.0] * (m + 1)
+    for j in range(half + 1):
+        acc = 1.0
+        for k in range(1, half + 1):
+            b = 1.0 if k == half else 2.0
+            acc -= b * cos[(2 * k * j) % (2 * m)] / (4 * k * k - 1)
+        w[j] = w[m - j] = (1.0 if j == 0 else 2.0) * acc / m
+    return np.array(cos[:m + 1]), np.array(w)
 
 
 def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,

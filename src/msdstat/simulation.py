@@ -33,6 +33,10 @@ __all__ = [
 
 BLOCK = 4096
 
+# numpy's empirical quantile convention for every Monte Carlo and bootstrap
+# quantile; the bootstrap report names it
+_QUANTILE_METHOD = "linear"
+
 # power and resistance runs score the subject, lab 0, alone
 _STATISTICS = {"msd": _median_abs, "pwch": _mean_square}
 
@@ -121,7 +125,7 @@ def simulate_multi_quantiles(n: int, ps, replicates: int,
     maxima.sort()
     out = []
     for p in ps:
-        val = float(np.quantile(maxima, p, method="linear"))
+        val = float(np.quantile(maxima, p, method=_QUANTILE_METHOD))
         out.append(QuantileEstimate(p, val, _bracket_se(maxima, p)))
     return tuple(out)
 
@@ -219,4 +223,4 @@ def calibrate_pwch_quantile(n: int, p: float, replicates: int,
     """
     (p,), pool = _null_pool(lambda z, u: pwch_values(z, u).ravel(),
                             n, (p,), replicates, seed)
-    return float(np.quantile(pool, p, method="linear"))
+    return float(np.quantile(pool, p, method=_QUANTILE_METHOD))

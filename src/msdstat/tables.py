@@ -193,9 +193,6 @@ def build_table(parity: str, max_n: int | None = None) -> QuantileTable:
 def _build_row(n, t_knots: np.ndarray) -> np.ndarray:
     row = np.empty_like(t_knots)
     for k, t in enumerate(t_knots):
-        if t == 0.0:
-            row[k] = 0.0
-            continue
         if t == 1.0:
             row[k] = 1.0
             continue
@@ -338,9 +335,10 @@ def interp_probability(table: QuantileTable, n, q) -> float:
 
     Tabulated sizes evaluate their own monotone spline; untabulated sizes
     first synthesize a probability row across sizes, then spline it.
-    Agreement with direct quadrature is better than 0.0005, except near
-    the left support edge at untabulated large n: 0.0040 at n = 616,
-    q = 0.5098, and 0.0032 at n = 250, q = 0.52.
+    Agreement with direct quadrature is better than 0.0005 for q >= 0.6,
+    but not near the left support edge, tabulated rows included: 3.1e-3 at
+    n = 500, q = 0.52; 1.3e-2 at 5000, 0.49; 4.2e-2 at 100,000, 0.48; and
+    4.0e-3 at the untabulated n = 616, q = 0.5098 (ROADMAP item 5).
     """
     q = _validate_q(q)
     y, m = _lookup_row(table, n)
@@ -369,7 +367,10 @@ def _lookup_row(table: QuantileTable, n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def interp_quantile(table: QuantileTable, n, p) -> float:
-    """Inverse lookup by root search on the probability spline."""
+    """Inverse lookup by root search on the probability spline: within
+    about 2e-4 of ``quantile`` in q at p = 0.95 and 0.99, worse at levels
+    nearer 1, 2.3e-2 at the whole-dataset level p ** (1/n) for n = 1000
+    and p = 0.99 (ROADMAP item 1)."""
     p = _validate_p(p)
     y, m = _lookup_row(table, n)
     t = table.knots_t

@@ -5,15 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 
 import msdstat
 from msdstat import DataError
-from msdstat.cli import TABLES_ENV, _run, entrypoint
+from msdstat.cli import TABLES_ENV, entrypoint
 from msdstat.datasets import conductivity_study, load_study, save_study
 from msdstat.errors import ConvergenceError
+from msdstat.tables import QuantileTable, default_table, save_table
 
 
 @pytest.fixture()
@@ -186,6 +186,23 @@ class TestAnalyze:
         assert result.exit_code == 3
         assert "n=8" in result.output
         assert "Traceback" not in result.output
+
+    def test_size_below_table_exits_3(self, runner, tmp_path):
+        full = default_table("even")
+        start = full.sizes.index(10)
+        tdir = tmp_path / "tables"
+        tdir.mkdir()
+        save_table(QuantileTable("even", full.sizes[start:], full.knots_t,
+                                 full.probs[start:]),
+                   tdir / "msd_table_even.csv")
+        path = tmp_path / "six.csv"
+        path.write_text("lab,value,u\n" + "".join(
+            f"L{i},{0.1 * i},1.0\n" for i in range(6)))
+        result = runner.invoke(entrypoint, ["analyze", str(path), "--tables",
+                                            str(tdir)])
+        assert result.exit_code == 3
+        assert result.stderr == ("error: n=6 is below the smallest tabulated "
+                                 "size 10 of the even table\n")
 
     def test_table_routing_via_flag_and_env(self, runner, study_path,
                                             tmp_path):
@@ -371,6 +388,12 @@ class TestSimulateCmds:
                                             "10", "--replicates", "500"])
         assert result.exit_code == 3
 
+    def test_bad_sizes_is_usage_error(self, runner):
+        result = runner.invoke(entrypoint, ["simulate", "hetero", "--sizes",
+                                            "5,x"])
+        assert result.exit_code == 2
+        assert "expected a comma-separated list of sizes" in result.output
+
     def test_hetero_size_range_maps_to_exit_3(self, runner):
         result = runner.invoke(entrypoint, ["simulate", "hetero", "--sizes",
                                             "4,15"])
@@ -437,16 +460,6 @@ class TestVersion:
 
 
 class TestExitCodeMapping:
-    def test_numeric_failure_exits_4(self, runner):
-        @click.command()
-        @_run
-        def boom():
-            raise ConvergenceError("quadrature budget exhausted")
-
-        result = runner.invoke(boom, [])
-        assert result.exit_code == 4
-        assert "quadrature budget exhausted" in result.output
-
     @pytest.mark.parametrize("args", [
         ["quantile", "--n", "13", "--p", "0.95"],
         ["analyze"],

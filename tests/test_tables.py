@@ -16,6 +16,7 @@ from msdstat import (
     cdf_even,
     quantile,
 )
+from msdstat.errors import ConvergenceError
 from msdstat.tables import (
     EVEN_SIZES,
     ODD_SIZES,
@@ -75,6 +76,20 @@ class TestBuild:
             build_table("both")
         with pytest.raises(DomainError):
             build_table("even", max_n=3)
+
+    def test_quadrature_failure_names_n_and_q(self, monkeypatch):
+        def cdf_failing_above_1(q, n):
+            if q > 1.0:
+                raise ConvergenceError("budget exhausted")
+            return distribution.cdf(q, n)
+
+        monkeypatch.setattr(tables, "cdf", cdf_failing_above_1)
+        t = next(t for t in knot_grid() if t > 0.5)
+        with pytest.raises(ConvergenceError, match=re.escape(
+                f"table build failed at n=4, q={t / (1 - t):.6g}: "
+                "budget exhausted")) as err:
+            build_table("even", max_n=4)
+        assert str(err.value.__cause__) == "budget exhausted"
 
     def test_shipped_tables_match_fresh_build(self):
         for parity in ("even", "odd"):
@@ -180,6 +195,19 @@ class TestPersistence:
                            match=re.escape(str(path)) + ":3: non-ASCII byte 0xc3"):
             load_table(path)
 
+    def test_file_errors_name_the_path(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = "knots,0.0,0.5,1.0\n4,0.0,0.5,1.0\ninf,0.0,0.5,1.0\n"
+        for text, message in (
+                (rows, ": not a quantile table file"),
+                ("# parity: even\n" + rows.replace("4,0.0", "4,0.6"),
+                 ": each row must be non-decreasing along q"),
+                ("# parity: both\n" + rows, ": unknown parity 'both'")):
+            path.write_text(text)
+            with pytest.raises(DataError,
+                               match=re.escape(str(path) + message)):
+                load_table(path)
+
 
 class TestInterpProbability:
     def test_exact_at_knots(self):
@@ -261,6 +289,15 @@ class TestInterpQuantile:
             with pytest.raises(TableRangeError,
                                match=rf"even table \({rows}\).*n={n}"):
                 interp_quantile(tab, n, 0.95)
+
+    def test_below_smallest_size(self):
+        full = default_table("even")
+        keep = [i for i, n in enumerate(full.sizes) if n >= 10]
+        tab = QuantileTable("even", full.sizes[keep[0]:], full.knots_t,
+                            full.probs[keep])
+        with pytest.raises(TableRangeError,
+                           match="n=6 is below the smallest tabulated size 10"):
+            interp_quantile(tab, 6, 0.95)
 
     def test_beyond_table_range(self):
         with pytest.raises(TableRangeError):
