@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .bootstrap import BootstrapConfig, BootstrapRow, bootstrap_msd
 from .datasets import load_study
-from .distribution import quantile
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
 from .simulation import (
     calibrate_pwch_quantile,
@@ -29,15 +28,8 @@ from .simulation import (
     simulate_resistance,
 )
 from .statistic import msd
-from .tables import (
-    _observation_level,
-    _table_file,
-    build_table,
-    default_table,
-    interp_quantile,
-    load_table,
-    save_table,
-)
+from .tables import (_critical_value, _table_file, _table_for, build_table,
+                     save_table)
 
 TABLES_ENV = "MSD_TABLES_DIR"
 _LEVELS = (0.95, 0.99)
@@ -73,21 +65,6 @@ def _tables_dir(flag_value) -> Path | None:
         return Path(flag_value)
     env = os.environ.get(TABLES_ENV)
     return Path(env) if env else None
-
-
-def _table_for(n: int, tables: Path | None):
-    parity = "even" if n % 2 == 0 else "odd"
-    if tables is None:
-        return default_table(parity)
-    return load_table(tables / _table_file(parity))
-
-
-def _critical_value(n: int, p: float, mode: str, table):
-    """Level-p critical value, exact when ``table`` is None, else tabulated."""
-    level = _observation_level(p, n) if mode == "multiple" else p
-    if table is None:
-        return quantile(level, n)
-    return interp_quantile(table, n, level)
 
 
 def _dump_json(doc) -> str:
@@ -349,7 +326,8 @@ def _grid_study(kind, runner, grid, grid_help, doc):
                   default=None)
     def command(grid, statistic, n, replicates, seed, critical, out):
         if critical is None:
-            critical = (quantile(0.95, n) if statistic == "msd" else
+            critical = (_critical_value(n, 0.95, "single")
+                        if statistic == "msd" else
                         calibrate_pwch_quantile(n, 0.95, 200_000, seed))
         curve = runner(statistic, n, grid, replicates, seed, critical)
         lines = [

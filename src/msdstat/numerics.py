@@ -67,10 +67,10 @@ _RTOL = 4 * sys.float_info.epsilon  # relative tolerance of find_root (brentq's)
 _MAX_ITER = 100        # iteration budget of find_root (brentq's)
 
 
-def _finite(vals) -> np.ndarray:
+def _finite(vals, what: str = "integrand returned") -> np.ndarray:
     vals = np.asarray(vals)
     if not np.all(np.isfinite(vals)):
-        raise DomainError("integrand returned a non-finite value")
+        raise DomainError(f"{what} a non-finite value")
     return vals
 
 
@@ -90,10 +90,13 @@ def _panel_rule(f, a, b):
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = _finite(f(pts.ravel())).reshape(pts.shape)
     # numpy's own sums, not BLAS: a BLAS gemv picks its kernel, and so its
-    # summation order, per host CPU, which moves the last bits of a result
-    est_k = half * (vals * _WEIGHTS_K).sum(axis=1)
-    est_g = half * (vals * _WEIGHTS_G).sum(axis=1)
-    return est_k, np.abs(est_k - est_g)
+    # summation order, per host CPU, which moves the last bits of a result.
+    # Finite values can overflow a sum; err is finite only if both sums are.
+    with np.errstate(over="ignore", invalid="ignore"):
+        est_k = half * (vals * _WEIGHTS_K).sum(axis=1)
+        est_g = half * (vals * _WEIGHTS_G).sum(axis=1)
+        err = np.abs(est_k - est_g)
+    return est_k, _finite(err, "panel estimate overflowed to")
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -192,7 +195,9 @@ def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
             vals = both
         # fixed-order sum over the nodes; see _panel_rule for why not BLAS
         wk = w.reshape((-1,) + (1,) * (vals.ndim - 1))
-        est = half * (wk * vals).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = half * (wk * vals).sum(axis=0)
+        _finite(est, "level estimate overflowed to")
         if prev is not None and np.max(np.abs(est - prev)) <= tol:
             return est
         prev = est

@@ -47,6 +47,8 @@ __all__ = [
 # Extra knot: left support bound of the limiting distribution, at the
 # table's own 3-digit precision.
 _SUPPORT_KNOT_Q = 0.674 / math.sqrt(2.0)
+# Top of the regularly spaced knots (q = 4), where the tabulated range ends.
+_T_TOP = 0.8
 
 # Grid note: the source prescription "every whole ten and intervening 4"
 # between 30 and 100 is read as {n0, n0+4} for each decade n0 in 30..90.
@@ -54,17 +56,17 @@ EVEN_SIZES = tuple(range(4, 31, 2)) + (
     34, 40, 44, 50, 54, 60, 64, 70, 74, 80, 84, 90, 94, 100,
     500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000,
 )
-# Odd rows stop at 189 (``cdf`` serves those above 99 from the even case
-# at n + 1); the large even rows are spliced on so that cross-size
+# The odd rows stop below the large even rows (``cdf`` serves odd n above
+# 99 from the even case at n + 1), which are spliced on so that cross-size
 # interpolation keeps working up to the asymptotic endpoint.
 _ODD_ROWS = tuple(range(3, 30, 2)) + (35, 45, 55, 65, 75, 85, 95,
                                       109, 129, 149, 169, 189)
-_ODD_SPLICE = tuple(n for n in EVEN_SIZES if n > 189)
+_ODD_SPLICE = tuple(n for n in EVEN_SIZES if n > _ODD_ROWS[-1])
 ODD_SIZES = _ODD_ROWS + _ODD_SPLICE
 
 
 def knot_grid() -> np.ndarray:
-    t = np.append(np.linspace(0.0, 0.8, 49),
+    t = np.append(np.linspace(0.0, _T_TOP, 49),
                   [_SUPPORT_KNOT_Q / (1.0 + _SUPPORT_KNOT_Q), 1.0])
     return np.sort(t)
 
@@ -191,11 +193,8 @@ def build_table(parity: str, max_n: int | None = None) -> QuantileTable:
 
 
 def _build_row(n, t_knots: np.ndarray) -> np.ndarray:
-    row = np.empty_like(t_knots)
-    for k, t in enumerate(t_knots):
-        if t == 1.0:
-            row[k] = 1.0
-            continue
+    row = np.ones_like(t_knots)
+    for k, t in enumerate(t_knots[:-1]):  # the last knot is q = infinity
         q = _t_to_q(t)
         try:
             row[k] = cdf(q, n)
@@ -296,6 +295,15 @@ def default_table(parity: str) -> QuantileTable:
     return _parse_table(ref.read_bytes(), str(ref))
 
 
+def _table_for(n: int, directory) -> QuantileTable:
+    """The table of n's parity: the bundled one when ``directory`` is None,
+    else that directory's file."""
+    parity = "even" if n % 2 == 0 else "odd"
+    if directory is None:
+        return default_table(parity)
+    return load_table(directory / _table_file(parity))
+
+
 # ------------------------------------------------------------ interpolation
 
 def _synth_row(table: QuantileTable, n: float) -> np.ndarray:
@@ -374,19 +382,24 @@ def interp_quantile(table: QuantileTable, n, p) -> float:
     p = _validate_p(p)
     y, m = _lookup_row(table, n)
     t = table.knots_t
-    # restrict to the genuinely tabulated range t <= 0.8 (q <= 4)
-    t_hi = 0.8
-    if p >= _cubic(t, y, m, t_hi):
+    # restrict to the genuinely tabulated range
+    if p >= _cubic(t, y, m, _T_TOP):
         raise TableRangeError(
             f"p={p} is beyond the table's q range for n={n}")
-    t_star = find_root(lambda x: _cubic(t, y, m, x) - p, 0.0, t_hi)
+    t_star = find_root(lambda x: _cubic(t, y, m, x) - p, 0.0, _T_TOP)
     return _t_to_q(t_star)
 
 
-def _observation_level(p, n) -> float:
-    """Per-observation level p**(1/n) for the whole-dataset level p."""
-    p = _validate_p(p)
-    return p ** (1.0 / _check_n(n))
+def _critical_value(n, p, mode: str, table=None) -> float:
+    """The one source of critical values: level p for one observation
+    (``mode="single"``) or for the whole dataset (``"multiple"``, read at
+    the per-observation level p**(1/n)); exact when ``table`` is None,
+    else looked up in ``table``."""
+    if mode == "multiple":
+        p = _validate_p(p) ** (1.0 / _check_n(n))
+    if table is None:
+        return quantile(p, n)
+    return interp_quantile(table, n, p)
 
 
 def multi_quantile_adjusted(n, p) -> float:
@@ -396,4 +409,4 @@ def multi_quantile_adjusted(n, p) -> float:
     value, treating the n per-observation statistics as independent. The
     approximation is excellent for n >= 6.
     """
-    return quantile(_observation_level(p, n), n)
+    return _critical_value(n, p, "multiple")

@@ -471,7 +471,7 @@ class TestExitCodeMapping:
         def fail(p, n):
             raise ConvergenceError("root search did not converge")
 
-        monkeypatch.setattr("msdstat.cli.quantile", fail)
+        monkeypatch.setattr("msdstat.tables.quantile", fail)
         monkeypatch.delenv(TABLES_ENV, raising=False)
         if args == ["analyze"]:
             args = args + [str(study_path)]

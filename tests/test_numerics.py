@@ -46,6 +46,12 @@ class TestIntegrate:
         with pytest.raises(ConvergenceError):
             integrate(lambda x: np.sin(1.0 / x), 1e-6, 1.0, tol=1e-13)
 
+    def test_overflowing_panel_sum_rejected(self):
+        # finite integrand values whose weighted panel sums overflow
+        with pytest.raises(DomainError,
+                           match="^panel estimate overflowed to a non-finite"):
+            integrate(lambda x: np.full_like(x, 1e308), 0.0, 8.0)
+
 
 class TestIntegrateBatch:
     def test_vector_components(self):
@@ -106,6 +112,18 @@ class TestIntegrateBatch:
         with pytest.raises(ConvergenceError):
             integrate_batch(lambda t: np.sin(1e5 / (t + 1e-4)), 0.0, 1.0, tol=1e-12)
 
+    def test_overflowing_sum_rejected_at_first_level(self):
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return np.full((t.size, 2), 1e308)
+
+        with pytest.raises(DomainError,
+                           match="^level estimate overflowed to a non-finite"):
+            integrate_batch(f, 0.0, 8.0)
+        assert sizes == [17]
+
 
 class TestFindRoot:
     def test_simple_root(self):
@@ -115,6 +133,25 @@ class TestFindRoot:
     def test_no_sign_change(self):
         with pytest.raises(ConvergenceError):
             find_root(lambda x: x ** 2 + 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("f, want", [(lambda x: x, 0.0),
+                                         (lambda x: x - 1.0, 1.0)],
+                             ids=["zero at lo", "zero at hi"])
+    def test_exact_zero_at_an_endpoint(self, f, want):
+        from scipy import optimize
+
+        calls = [0, 0]
+
+        def counted(side):
+            def g(x):
+                calls[side] += 1
+                return f(x)
+            return g
+
+        root = find_root(counted(0), 0.0, 1.0)
+        ref = float(optimize.brentq(counted(1), 0.0, 1.0, xtol=_XTOL))
+        assert root.hex() == ref.hex() == want.hex()
+        assert calls == [2, 2]
 
 
 class TestFindRootFailures:

@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +157,15 @@ class TestPersistence:
         save_table(build_table("odd", max_n=9), p3)
         b1, b2, b3 = (p.read_bytes() for p in (p1, p2, p3))
         assert b1 == b2 == b3
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        bundled = Path(tables.__file__).parent / "data" / "msd_table_even.csv"
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(bundled.read_text().replace("\n", "\n\n"))
+        tab, back = default_table("even"), load_table(spaced)
+        assert back.sizes == tab.sizes
+        assert np.array_equal(back.knots_t, tab.knots_t)
+        assert np.array_equal(back.probs, tab.probs)
 
     def test_header_records_build_constants(self, tmp_path):
         path = tmp_path / "table.csv"
