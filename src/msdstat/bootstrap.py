@@ -13,20 +13,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distribution import _check_int, _validate_levels
+from .distribution import _check_int, _check_seed, _validate_levels
 from .errors import DataError
 from .simulation import _QUANTILE_METHOD, _blocks
 from .statistic import Dataset, qe_values
 
-__all__ = [
-    "BootstrapConfig",
-    "BootstrapReport",
-    "BootstrapRow",
-    "PValue",
-    "bh_adjust",
-    "bootstrap_msd",
-    "holm_adjust",
-]
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -39,8 +30,7 @@ class BootstrapConfig:
     def __post_init__(self):
         object.__setattr__(self, "replicates", _check_int(
             "replicates", self.replicates, "an integer >= 100", 100))
-        object.__setattr__(self, "seed", _check_int(
-            "seed", self.seed, "a 64-bit integer", 0, 2 ** 64))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         levels = _validate_levels(self.levels)
         object.__setattr__(self, "levels", levels)
         if any(b <= a for a, b in zip(levels, levels[1:])):

@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .bootstrap import BootstrapConfig, BootstrapRow, bootstrap_msd
 from .datasets import load_study
-from .errors import ConvergenceError, DataError, DomainError, TableRangeError
+from .distribution import _parity
+from .errors import ConvergenceError, MsdError
 from .simulation import (
     calibrate_pwch_quantile,
     simulate_hetero_guideline,
@@ -27,7 +28,7 @@ from .simulation import (
     simulate_power,
     simulate_resistance,
 )
-from .statistic import msd
+from .statistic import INSPECT, SCREEN, msd
 from .tables import (_critical_value, _table_file, _table_for, build_table,
                      save_table)
 
@@ -44,7 +45,7 @@ class _Root(click.Group):
         except ConvergenceError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
-        except (DataError, DomainError, TableRangeError, OSError) as exc:
+        except (MsdError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
 
@@ -112,7 +113,7 @@ def _mark(flag: bool) -> str:
 def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
     """Score every observation in a study file and flag anomalies."""
     ds = load_study(input_path)
-    parity = "even" if ds.n % 2 == 0 else "odd"
+    parity = _parity(ds.n)
     tables = _tables_dir(tables)
     table = None if tables is None else _table_for(ds.n, tables)
     crit = tuple(_critical_value(ds.n, p, mode, table) for p in _LEVELS)
@@ -133,8 +134,8 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
             "q_e": qe,
             "above_95": bool(qe > crit[0]),
             "above_99": bool(qe > crit[1]),
-            "above_2_0": bool(qe > 2.0),
-            "above_2_5": bool(qe > 2.5),
+            "above_2_0": bool(qe > INSPECT),
+            "above_2_5": bool(qe > SCREEN),
             "bootstrap": None if brow is None else _bootstrap_json(brow),
         })
 
@@ -147,7 +148,7 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
             "mode": mode,
             "tables": provenance,
             "critical_values": {f"{p:g}": c for p, c in zip(_LEVELS, crit)},
-            "thresholds": {"inspect": 2.0, "screen": 2.5},
+            "thresholds": {"inspect": INSPECT, "screen": SCREEN},
             "adjust": adjust,
             "seed": seed if report is not None else None,
             "bootstrap_replicates": bootstrap_b or None,
@@ -159,10 +160,11 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
     click.echo(f"{ds.n} results ({parity}); "
                f"mode={mode}; critical values ({provenance}): "
                f"95% {crit[0]:.4f}, 99% {crit[1]:.4f}")
-    click.echo("rules of thumb: inspect above 2.0, strict screen above 2.5")
+    click.echo(f"rules of thumb: inspect above {INSPECT}, "
+               f"strict screen above {SCREEN}")
     click.echo("")
     click.echo(f"{'lab':<8} {'value':>12} {'u':>10} {'q_e':>8}  "
-               f">95% >99% >2.0 >2.5")
+               f">95% >99% >{INSPECT} >{SCREEN}")
     for row in rows:
         click.echo(
             f"{row['lab']:<8} {row['value']:>12g} {row['u']:>10g} "

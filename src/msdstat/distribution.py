@@ -28,16 +28,6 @@ import numpy as np
 from .errors import DataError, DomainError
 from .numerics import find_root, integrate, integrate_batch
 
-__all__ = [
-    "conditional_cdf",
-    "cdf_even",
-    "cdf_odd",
-    "cdf_asymptotic",
-    "cdf",
-    "quantile",
-    "ASYMPTOTIC_LOWER_BOUND",
-]
-
 _SQRT2 = math.sqrt(2.0)
 _X0_CUTOFF = 8.5  # normal weight beyond this is < 1e-17, below every tolerance used
 
@@ -66,6 +56,11 @@ def _check_n(n) -> int:
     return size
 
 
+def _parity(n: int) -> str:
+    """The parity of size n, which picks its exact case and its table."""
+    return "odd" if n % 2 else "even"
+
+
 def _check_int(name: str, value, rule: str, lo: int,
                hi: float = math.inf) -> int:
     """A run argument (replicates, seed, size): an integer in [lo, hi)."""
@@ -73,6 +68,11 @@ def _check_int(name: str, value, rule: str, lo: int,
     if checked is None or not lo <= checked < hi:
         raise DataError(f"{name} must be {rule}, got {value!r}")
     return checked
+
+
+def _check_seed(seed) -> int:
+    """The one rule for a seed: an integer in [0, 2**64)."""
+    return _check_int("seed", seed, "a 64-bit integer", 0, 2 ** 64)
 
 
 def conditional_cdf(d, x0):
@@ -124,7 +124,7 @@ def _marginal_cdf(q, n, parity: str, conditional, tol: float) -> float:
     """
     q = _validate_q(q)
     n = _check_n(n)
-    if ("odd" if n % 2 else "even") != parity:
+    if _parity(n) != parity:
         raise DomainError(f"cdf_{parity} requires {parity} n, got {n}")
     if q == 0.0:
         return 0.0

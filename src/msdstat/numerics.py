@@ -136,7 +136,11 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         errs = np.concatenate([keep_errs, new_errs])
 
     # fsum is correctly rounded, so the panels' order does not matter
-    return math.fsum(vals)
+    try:
+        return math.fsum(vals)
+    except OverflowError:
+        raise DomainError("sum of panel estimates overflowed to a non-finite "
+                          "value") from None
 
 
 @lru_cache(maxsize=None)

@@ -15,21 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import _check_int, _check_n, _validate_levels
+from .distribution import _check_int, _check_n, _check_seed, _validate_levels
 from .errors import DataError
-from .statistic import _mean_square, _median_abs, _sliced, pwch_values, qe_values
-
-__all__ = [
-    "BLOCK",
-    "PowerCurve",
-    "QuantileEstimate",
-    "HeteroStudy",
-    "simulate_multi_quantiles",
-    "simulate_power",
-    "simulate_resistance",
-    "simulate_hetero_guideline",
-    "calibrate_pwch_quantile",
-]
+from .statistic import (INSPECT, SCREEN, _mean_square, _median_abs, _sliced,
+                        pwch_values, qe_values)
 
 BLOCK = 4096
 
@@ -45,7 +34,7 @@ def _blocks(seed: int, replicates: int, key: tuple[int, ...] = ()):
     """Check the run arguments, then lazily yield (generator, count) for
     each block of the stream the module docstring describes."""
     replicates = _check_int("replicates", replicates, "a positive integer", 1)
-    seed = _check_int("seed", seed, "a 64-bit integer", 0, 2 ** 64)
+    seed = _check_seed(seed)
     full, rem = divmod(replicates, BLOCK)
     return ((np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(seed, spawn_key=key + (b,)))),
@@ -81,9 +70,9 @@ class HeteroStudy:
     """Rule-of-thumb exceedance rates under chi-squared(3) variances."""
 
     sizes: tuple[int, ...]
-    value_rate: np.ndarray      # share of individual statistics above 2.0
+    value_rate: np.ndarray      # share of statistics above INSPECT
     value_se: np.ndarray
-    dataset_rate: np.ndarray    # share of datasets with any statistic above 2.5
+    dataset_rate: np.ndarray    # share of datasets with any above SCREEN
     dataset_se: np.ndarray
     replicates: int
     seed: int
@@ -185,8 +174,9 @@ def simulate_hetero_guideline(sizes, replicates: int, seed: int) -> HeteroStudy:
 
     For each dataset size, draws datasets with per-observation standard
     deviations sqrt(V), V a sum of three squared standard normals, and
-    evaluates the screening thresholds: how often an individual statistic
-    exceeds 2.0, and how often a dataset contains any value above 2.5.
+    evaluates the rules of thumb of ``statistic``: how often an individual
+    statistic exceeds INSPECT, and how often a dataset contains any value
+    above SCREEN.
     """
     sizes = tuple(_check_int("size", n, "an integer in 5..25", 5, 26)
                   for n in sizes)
@@ -202,8 +192,8 @@ def simulate_hetero_guideline(sizes, replicates: int, seed: int) -> HeteroStudy:
             z = rng.standard_normal((c, n))
             x = u * z
             qe = qe_values(x, u)
-            value_hits[j] += int((qe > 2.0).sum())
-            dataset_hits[j] += int((qe > 2.5).any(axis=1).sum())
+            value_hits[j] += int((qe > INSPECT).sum())
+            dataset_hits[j] += int((qe > SCREEN).any(axis=1).sum())
     value_count = replicates * np.array(sizes)
     value_rate = value_hits / value_count
     dataset_rate = dataset_hits / replicates

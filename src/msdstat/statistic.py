@@ -15,13 +15,11 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = [
-    "Observation",
-    "Dataset",
-    "MsdResult",
-    "msd",
-    "pairwise_chisq",
-]
+# The rules of thumb for a score: above INSPECT a result merits a look,
+# above SCREEN it fails the strict screen. ``msd analyze`` flags both, and
+# ``simulate_hetero_guideline`` measures how often each is crossed.
+INSPECT = 2.0
+SCREEN = 2.5
 
 
 @dataclass(frozen=True)

@@ -26,23 +26,10 @@ from importlib import resources
 
 import numpy as np
 
-from .distribution import (_ODD_EXACT_LIMIT, _check_n, _validate_p, _validate_q,
-                           cdf, quantile)
+from .distribution import (_ODD_EXACT_LIMIT, _check_n, _parity, _validate_p,
+                           _validate_q, cdf, quantile)
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
 from .numerics import find_root
-
-__all__ = [
-    "QuantileTable",
-    "build_table",
-    "save_table",
-    "load_table",
-    "default_table",
-    "interp_probability",
-    "interp_quantile",
-    "multi_quantile_adjusted",
-    "EVEN_SIZES",
-    "ODD_SIZES",
-]
 
 # Extra knot: left support bound of the limiting distribution, at the
 # table's own 3-digit precision.
@@ -216,9 +203,9 @@ def save_table(table: QuantileTable, path) -> None:
         f"# parity: {table.parity}",
         "# grid: 49 knots regularly spaced in q/(1+q) on [0, 0.8], "
         "plus q = 0.674/sqrt(2) and q/(1+q) = 1",
-        "# size grid: decades 30..90 carry {n0, n0+4}; odd rows stop at 189 "
-        f"with even rows spliced above; odd n > {_ODD_EXACT_LIMIT} is the "
-        "even case at n + 1",
+        "# size grid: decades 30..90 carry {n0, n0+4}; odd rows stop at "
+        f"{_ODD_ROWS[-1]} with even rows spliced above; odd n > "
+        f"{_ODD_EXACT_LIMIT} is the even case at n + 1",
         "# build tolerances: even quadrature 1e-9; odd inner 1e-10, outer 1e-8",
         "# columns: n, then one probability per knot",
         "knots," + ",".join(repr(float(t)) for t in table.knots_t),
@@ -298,7 +285,7 @@ def default_table(parity: str) -> QuantileTable:
 def _table_for(n: int, directory) -> QuantileTable:
     """The table of n's parity: the bundled one when ``directory`` is None,
     else that directory's file."""
-    parity = "even" if n % 2 == 0 else "odd"
+    parity = _parity(n)
     if directory is None:
         return default_table(parity)
     return load_table(directory / _table_file(parity))
@@ -361,10 +348,13 @@ def _lookup_row(table: QuantileTable, n) -> tuple[np.ndarray, np.ndarray]:
     if n in table.sizes:
         i = table.sizes.index(n)
         return table.probs[i], table.tangents[i]
-    parity = "odd" if n % 2 else "even"
+    parity = _parity(n)
     if parity != table.parity:
         raise TableRangeError(f"n={n} is {parity}; the {table.parity} "
                               f"table serves only {table.parity} sizes")
+    if not table.finite_sizes:
+        raise TableRangeError(f"the {table.parity} table holds only the "
+                              f"asymptotic row, so it cannot serve n={n}")
     smallest = table.finite_sizes[0]
     if n < smallest:
         raise TableRangeError(

@@ -1,9 +1,11 @@
 """Command-line surface: parsing, exit codes, routing, and reproducibility."""
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from click.testing import CliRunner
@@ -203,6 +205,22 @@ class TestAnalyze:
         assert result.exit_code == 3
         assert result.stderr == ("error: n=6 is below the smallest tabulated "
                                  "size 10 of the even table\n")
+
+    def test_asymptotic_row_only_table_exits_3(self, runner, tmp_path):
+        full = default_table("even")
+        tdir = tmp_path / "tables"
+        tdir.mkdir()
+        save_table(QuantileTable("even", (math.inf,), full.knots_t,
+                                 full.probs[-1:]),
+                   tdir / "msd_table_even.csv")
+        path = tmp_path / "ten.csv"
+        path.write_text("lab,value,u\n" + "".join(
+            f"L{i},{0.1 * i},1.0\n" for i in range(10)))
+        result = runner.invoke(entrypoint, ["analyze", str(path), "--tables",
+                                            str(tdir)])
+        assert result.exit_code == 3
+        assert result.stderr == ("error: the even table holds only the "
+                                 "asymptotic row, so it cannot serve n=10\n")
 
     def test_table_routing_via_flag_and_env(self, runner, study_path,
                                             tmp_path):
@@ -457,6 +475,27 @@ class TestVersion:
     def test_version_from_source_tree(self, runner):
         result = invoke(runner, ["--version"])
         assert result.output == f"msd, version {msdstat.__version__}\n"
+
+
+class TestPublicNames:
+    def test_package_namespace_is_the_api(self):
+        # ``msdstat/__init__.py``'s imports are the one list of the API
+        names = {n for n, v in vars(msdstat).items()
+                 if not n.startswith("_") and not isinstance(v, ModuleType)}
+        assert names == {
+            "ASYMPTOTIC_LOWER_BOUND", "BootstrapConfig", "BootstrapReport",
+            "BootstrapRow", "ConvergenceError", "DataError", "Dataset",
+            "DomainError", "HeteroStudy", "MsdError", "MsdResult",
+            "Observation", "PValue", "PowerCurve", "QuantileEstimate",
+            "QuantileTable", "TableRangeError", "bh_adjust", "bootstrap_msd",
+            "build_table", "calibrate_pwch_quantile", "cdf",
+            "cdf_asymptotic", "cdf_even", "cdf_odd", "conditional_cdf",
+            "conductivity_study", "default_table", "holm_adjust",
+            "interp_probability", "interp_quantile", "load_study",
+            "load_table", "msd", "multi_quantile_adjusted", "pairwise_chisq",
+            "quantile", "save_study", "save_table",
+            "simulate_hetero_guideline", "simulate_multi_quantiles",
+            "simulate_power", "simulate_resistance"}
 
 
 class TestExitCodeMapping:

@@ -1,0 +1,147 @@
+"""CLI golden: a fixed list of ``msd`` commands against a checked-in transcript.
+
+Each command runs in-process; its stdout, stderr and exit code must match
+``cli_golden.json`` byte for byte once temporary paths are normalised. The
+one exception is the full-precision quadrature numbers (the structured
+``critical_values`` and the ``critical=`` headers of ``simulate power`` and
+``simulate resistance``), which must agree within 1e-12 relative: like the
+bundled table bytes, their last bits follow the numpy/scipy build.
+
+The test never writes the golden. A change that alters output on purpose
+regenerates it with ``PYTHONPATH=src python tests/test_cli_golden.py`` and
+lists the changed lines in CHANGES.md.
+"""
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import msdstat
+from msdstat.cli import TABLES_ENV, entrypoint
+from msdstat.datasets import conductivity_study, save_study
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+_HELP = [[], ["analyze"], ["bootstrap"], ["quantile"], ["tables"],
+         ["tables", "generate"], ["simulate"], ["simulate", "table3"],
+         ["simulate", "power"], ["simulate", "resistance"],
+         ["simulate", "hetero"]]
+
+# {odd}: the 13-lab conductivity study; {even}: six labs, one far out;
+# {data}: the bundled table directory; {tmp}: a scratch directory
+COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
+    ["--version"],
+    ["analyze", "{odd}"],
+    ["analyze", "{odd}", "--format", "structured"],
+    ["analyze", "{odd}", "--mode", "single"],
+    ["analyze", "{even}", "--format", "structured", "--mode", "single"],
+    ["analyze", "{even}"],
+    ["analyze", "{odd}", "--tables", "{data}"],
+    ["analyze", "{odd}", "--tables", "{data}", "--mode", "single",
+     "--format", "structured"],
+    ["analyze", "{even}", "--tables", "{data}", "--format", "structured"],
+    ["analyze", "{even}", "--tables", "{data}", "--mode", "single"],
+    ["analyze", "{odd}", "--bootstrap", "200", "--seed", "3",
+     "--adjust", "holm"],
+    ["analyze", "{even}", "--bootstrap", "200", "--format", "structured"],
+    ["bootstrap", "{odd}", "-B", "300", "--seed", "5"],
+    ["bootstrap", "{even}", "-B", "200", "--format", "structured"],
+    ["quantile", "--n", "13", "--p", "0.95"],
+    ["quantile", "--n", "10", "--p", "0.99", "--mode", "single"],
+    ["quantile", "--n", "13", "--p", "0.99", "--method", "table"],
+    ["quantile", "--n", "150", "--p", "0.95", "--mode", "single",
+     "--method", "table"],
+    ["simulate", "table3", "--n", "7", "--replicates", "1000", "--seed", "2"],
+    ["simulate", "power", "--grid", "0:2:1", "--replicates", "500"],
+    ["simulate", "resistance", "--grid", "-2:2:2", "--stat", "pwch",
+     "--critical", "3.5", "--replicates", "400", "--seed", "1"],
+    ["simulate", "hetero", "--sizes", "5,9", "--replicates", "300"],
+    ["tables", "generate", "--max-n", "8", "--out", "{tmp}/tables"],
+    # exit 2: usage errors
+    ["frobnicate"],
+    ["quantile", "--n", "2", "--p", "0.95"],
+    ["quantile", "--n", "10", "--p", "1.5"],
+    ["analyze", "{odd}", "--mode", "pairwise"],
+    ["simulate", "power", "--grid", "1:0:1"],
+    ["simulate", "hetero", "--sizes", "5,x"],
+    ["tables", "generate", "--out", "{odd}"],
+    # exit 3: input and validation errors
+    ["analyze", "{tmp}/missing.csv"],
+    ["analyze", "{odd}", "--bootstrap", "50"],
+    ["bootstrap", "{odd}", "--seed", "-1"],
+    ["quantile", "--n", "3", "--p", "0.9999999", "--method", "table"],
+    ["simulate", "table3", "--n", "5", "--replicates", "10"],
+    ["simulate", "hetero", "--sizes", "4", "--replicates", "10"],
+    ["simulate", "power", "--critical", "-1", "--replicates", "100"],
+    ["tables", "generate", "--out", "{odd}/tables"],
+]
+
+# full-precision quadrature numbers: the structured critical values and
+# the simulate headers' critical=
+_LOOSE_SPAN = re.compile(r'"critical_values": \{[^}]*\}|critical=\S+')
+_LOOSE_NUMBER = re.compile(r'(?<=": )-?\d[^,\s}]*|(?<==)\S+')
+
+
+def _transcript(tmp: Path) -> list[dict]:
+    """Run every command in ``tmp``; paths in the output come back as the
+    placeholders they were given as."""
+    save_study(conductivity_study(), tmp / "odd.csv")
+    (tmp / "even.csv").write_text(
+        "lab,value,u\nA,10.1,0.2\nB,10.0,0.1\nC,9.8,0.3\nD,10.3,0.2\n"
+        "E,9.9,0.15\nF,12.0,0.2\n")
+    paths = {"odd": str(tmp / "odd.csv"), "even": str(tmp / "even.csv"),
+             "data": str(Path(msdstat.__file__).parent / "data"),
+             "tmp": str(tmp)}
+    runner = CliRunner(env={TABLES_ENV: None})
+    records = []
+    for args in COMMANDS:
+        result = runner.invoke(entrypoint, [a.format(**paths) for a in args],
+                               prog_name="msd", terminal_width=80)
+        if result.exit_code not in (0, 2, 3):
+            raise AssertionError(f"{args}: exit {result.exit_code}\n"
+                                 f"{result.output}") from result.exception
+        out, err = result.stdout, result.stderr
+        for name, path in paths.items():  # {tmp} last: it prefixes the studies
+            out = out.replace(path, f"{{{name}}}")
+            err = err.replace(path, f"{{{name}}}")
+        records.append({"args": args, "exit": result.exit_code,
+                        "stdout": out, "stderr": err})
+    return records
+
+
+def _split(text: str) -> tuple[str, list[float]]:
+    """``text`` with its full-precision numbers masked, and those numbers."""
+    numbers = []
+
+    def mask(span):
+        def take(m):
+            numbers.append(float(m.group()))
+            return "#"
+        return _LOOSE_NUMBER.sub(take, span.group())
+
+    return _LOOSE_SPAN.sub(mask, text), numbers
+
+
+def test_cli_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    actual = _transcript(tmp_path)
+    assert [r["args"] for r in actual] == [r["args"] for r in golden]
+    for got, want in zip(actual, golden):
+        assert got["exit"] == want["exit"], got["args"]
+        assert got["stderr"] == want["stderr"], got["args"]
+        got_text, got_nums = _split(got["stdout"])
+        want_text, want_nums = _split(want["stdout"])
+        assert got_text == want_text, got["args"]
+        assert got_nums == pytest.approx(want_nums, rel=1e-12, abs=0), \
+            got["args"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        records = _transcript(Path(tmp))
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {GOLDEN} ({len(records)} commands)", file=sys.stderr)

@@ -52,6 +52,13 @@ class TestIntegrate:
                            match="^panel estimate overflowed to a non-finite"):
             integrate(lambda x: np.full_like(x, 1e308), 0.0, 8.0)
 
+    def test_overflowing_total_rejected(self):
+        # finite panel estimates whose sum overflows; the loose tolerance
+        # stops at the first sweep
+        with pytest.raises(DomainError, match="^sum of panel estimates "
+                                              "overflowed to a non-finite"):
+            integrate(lambda x: np.full_like(x, 1e307), 0.0, 80.0, tol=1e300)
+
 
 class TestIntegrateBatch:
     def test_vector_components(self):
@@ -215,6 +222,28 @@ class TestBrentqIdentity:
             tables.interp_quantile(table, n, 0.95)
         assert len(searches) > 20
         assert [s for s in searches if s[1] != s[2] or s[3] != s[4]] == []
+
+    def test_vanishing_interpolation_denominator_bisects(self):
+        # a step function scaled to 1e-123: the inverse-quadratic
+        # denominator underflows to 0, and the step falls back to bisection
+        from scipy import optimize
+
+        def f(x):
+            return (1e-123 * math.floor((x - 0.6) * 12) / 4
+                    + (1e-126 if x > 0.6 else -1e-126))
+
+        calls = [0, 0]
+
+        def counted(side):
+            def g(x):
+                calls[side] += 1
+                return f(x)
+            return g
+
+        root = find_root(counted(0), 0.0, 1.0)
+        ref = float(optimize.brentq(counted(1), 0.0, 1.0, xtol=_XTOL))
+        assert root.hex() == ref.hex() == "0x1.3333333343cdcp-1"
+        assert calls == [52, 52]
 
 
 class TestMonotoneSpline:

@@ -309,6 +309,16 @@ class TestInterpQuantile:
                            match="n=6 is below the smallest tabulated size 10"):
             interp_quantile(tab, 6, 0.95)
 
+    def test_only_the_asymptotic_row(self):
+        full = default_table("even")
+        tab = QuantileTable("even", (math.inf,), full.knots_t,
+                            full.probs[-1:])
+        for lookup, x in ((interp_quantile, 0.95), (interp_probability, 1.0)):
+            assert lookup(tab, math.inf, x) == lookup(full, math.inf, x)
+            with pytest.raises(TableRangeError, match="^the even table holds "
+                               "only the asymptotic row.*n=10$"):
+                lookup(tab, 10, x)
+
     def test_beyond_table_range(self):
         with pytest.raises(TableRangeError):
             interp_quantile(default_table("even"), 4, 1 - 1e-7)
