@@ -21,13 +21,8 @@ from .bootstrap import BootstrapConfig, BootstrapRow, bootstrap_msd
 from .datasets import load_study
 from .distribution import _parity
 from .errors import ConvergenceError, MsdError
-from .simulation import (
-    calibrate_pwch_quantile,
-    simulate_hetero_guideline,
-    simulate_multi_quantiles,
-    simulate_power,
-    simulate_resistance,
-)
+from .simulation import (simulate_hetero_guideline, simulate_multi_quantiles,
+                         simulate_power, simulate_resistance)
 from .statistic import INSPECT, SCREEN, msd
 from .tables import (_critical_value, _table_file, _table_for, build_table,
                      save_table)
@@ -113,15 +108,14 @@ def _mark(flag: bool) -> str:
 def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
     """Score every observation in a study file and flag anomalies."""
     ds = load_study(input_path)
+    cfg = (BootstrapConfig(replicates=bootstrap_b, seed=seed, levels=_LEVELS)
+           if bootstrap_b else None)
     parity = _parity(ds.n)
     tables = _tables_dir(tables)
     table = None if tables is None else _table_for(ds.n, tables)
     crit = tuple(_critical_value(ds.n, p, mode, table) for p in _LEVELS)
     provenance = "exact" if tables is None else str(tables)
-    report = None
-    if bootstrap_b:
-        report = bootstrap_msd(ds, BootstrapConfig(
-            replicates=bootstrap_b, seed=seed, levels=_LEVELS))
+    report = None if cfg is None else bootstrap_msd(ds, cfg)
     # report rows come in the dataset's observation order
     brows = (None,) * ds.n if report is None else report.rows
 
@@ -327,14 +321,10 @@ def _grid_study(kind, runner, grid, grid_help, doc):
     @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
                   default=None)
     def command(grid, statistic, n, replicates, seed, critical, out):
-        if critical is None:
-            critical = (_critical_value(n, 0.95, "single")
-                        if statistic == "msd" else
-                        calibrate_pwch_quantile(n, 0.95, 200_000, seed))
         curve = runner(statistic, n, grid, replicates, seed, critical)
         lines = [
             f"# {kind}; statistic={statistic} n={n} replicates={replicates} "
-            f"seed={seed} critical={critical!r}",
+            f"seed={seed} critical={curve.critical!r}",
             "delta,proportion,std_error",
         ]
         lines += [f"{d:g},{float(p)!r},{float(s)!r}" for d, p, s in

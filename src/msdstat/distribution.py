@@ -232,7 +232,7 @@ def cdf(q, n) -> float:
     if n == math.inf:
         return cdf_asymptotic(q)
     n = _check_n(n)
-    if n % 2 == 0:
+    if _parity(n) == "even":
         return cdf_even(q, n)
     if n <= _ODD_EXACT_LIMIT:
         return cdf_odd(q, n)

@@ -19,6 +19,7 @@ from .distribution import _check_int, _check_n, _check_seed, _validate_levels
 from .errors import DataError
 from .statistic import (INSPECT, SCREEN, _mean_square, _median_abs, _sliced,
                         pwch_values, qe_values)
+from .tables import _critical_value
 
 BLOCK = 4096
 
@@ -120,21 +121,27 @@ def simulate_multi_quantiles(n: int, ps, replicates: int,
 
 
 def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
-                     critical: float, contaminated_index: int) -> PowerCurve:
+                     critical: float | None,
+                     contaminated_index: int) -> PowerCurve:
     if statistic not in _STATISTICS:
         raise DataError(
             f"statistic must be one of {sorted(_STATISTICS)}, got {statistic!r}")
     kernel = _STATISTICS[statistic]
     n = _check_n(n)
-    if not (math.isfinite(critical) and critical > 0):
+    if not (critical is None or math.isfinite(critical) and critical > 0):
         raise DataError(f"critical value must be positive, got {critical}")
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise DataError("displacement grid must be non-empty and finite")
+    streams = [_blocks(seed, replicates, (j,)) for j in range(grid.size)]
+    # every argument is checked; only now may the default threshold cost time
+    if critical is None:
+        critical = (_critical_value(n, 0.95, "single") if statistic == "msd"
+                    else calibrate_pwch_quantile(n, 0.95, 200_000, seed))
     u = np.ones(n)
     counts = np.zeros(grid.size, dtype=np.int64)
-    for j, delta in enumerate(grid):
-        for rng, c in _blocks(seed, replicates, (j,)):
+    for j, (delta, blocks) in enumerate(zip(grid, streams)):
+        for rng, c in blocks:
             z = rng.standard_normal((c, n))
             z[:, contaminated_index] += delta
             subject = _sliced(kernel, z, u, rows=(0,))[:, 0]
@@ -147,23 +154,26 @@ def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
 
 
 def simulate_power(statistic: str, n: int, grid, replicates: int, seed: int,
-                   critical: float) -> PowerCurve:
+                   critical: float | None = None) -> PowerCurve:
     """Detection rate for a subject point displaced along the grid.
 
     All other points are standard normal; the subject's statistic is
-    compared against the supplied critical value.
+    compared against ``critical``. None means its 95% null quantile: the
+    exact single-observation one for msd, and for pwch
+    ``calibrate_pwch_quantile(n, 0.95, 200_000, seed)``.
     """
     return _grid_exceedance(statistic, n, grid, replicates, seed, critical,
                             contaminated_index=0)
 
 
 def simulate_resistance(statistic: str, n: int, grid, replicates: int,
-                        seed: int, critical: float) -> PowerCurve:
+                        seed: int, critical: float | None = None) -> PowerCurve:
     """False-positive rate for a null subject while another point wanders.
 
     The subject stays at its null location; a second point is moved along
     the grid. A resistant statistic keeps the subject's exceedance rate
     near its nominal level no matter where the contaminant sits.
+    ``critical`` defaults as in ``simulate_power``.
     """
     return _grid_exceedance(statistic, n, grid, replicates, seed, critical,
                             contaminated_index=1)

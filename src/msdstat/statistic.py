@@ -95,18 +95,6 @@ class MsdResult:
 BUDGET = 1 << 16
 
 
-def pair_matrix(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Full signed matrix of scaled differences with a zero diagonal.
-
-    Accepts leading batch axes on ``x``; ``u`` broadcasts against it.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    dx = x[..., :, None] - x[..., None, :]
-    s = np.sqrt(u[..., :, None] ** 2 + u[..., None, :] ** 2)
-    return dx / s
-
-
 def _median_abs(d: np.ndarray, i, j) -> np.ndarray:
     """Median of |d| along the last axis, computed in place in ``d``.
 

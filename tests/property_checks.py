@@ -9,8 +9,20 @@ import math
 import numpy as np
 from scipy import special
 
-from msdstat.statistic import pair_matrix, pwch_values, qe_values
+from msdstat.statistic import pwch_values, qe_values
 from msdstat import cdf, cdf_even, conditional_cdf, quantile
+
+
+def pair_matrix(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Reference full signed matrix of scaled differences, zero diagonal.
+
+    Accepts leading batch axes on ``x``; ``u`` broadcasts against it.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    dx = x[..., :, None] - x[..., None, :]
+    s = np.sqrt(u[..., :, None] ** 2 + u[..., None, :] ** 2)
+    return dx / s
 
 
 # ---------------------------------------------------------------- statistic

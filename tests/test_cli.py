@@ -444,6 +444,34 @@ class TestSimulateCmds:
                     3, f"error: {want}\n"), args + extra
 
 
+class TestChecksBeforeWork:
+    # the pwch calibration and the exact quantile raise if they start, so a
+    # command that computes before checking its arguments exits 1, not 3
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def work(*args):
+            raise RuntimeError("work started before the checks")
+
+        monkeypatch.setattr("msdstat.simulation._null_pool", work)
+        monkeypatch.setattr("msdstat.tables.quantile", work)
+        monkeypatch.delenv(TABLES_ENV, raising=False)
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "power", "--stat", "pwch", "--replicates", "0"],
+         "replicates must be a positive integer, got 0"),
+        (["simulate", "resistance", "--replicates", "0"],
+         "replicates must be a positive integer, got 0"),
+        (["analyze", "{study}", "--bootstrap", "50"],
+         "replicates must be an integer >= 100, got 50"),
+    ], ids=["simulate power --stat pwch", "simulate resistance",
+            "analyze --bootstrap 50"])
+    def test_bad_argument_exits_3_before_any_work(self, runner, study_path,
+                                                  args, message):
+        args = [a.format(study=study_path) for a in args]
+        result = runner.invoke(entrypoint, args)
+        assert (result.exit_code, result.output) == (3, f"error: {message}\n")
+
+
 class TestBootstrapCmd:
     def test_text_table(self, runner, study_path):
         result = invoke(runner, ["bootstrap", str(study_path), "-B", "5000",

@@ -59,6 +59,10 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
     ["simulate", "power", "--grid", "0:2:1", "--replicates", "500"],
     ["simulate", "resistance", "--grid", "-2:2:2", "--stat", "pwch",
      "--critical", "3.5", "--replicates", "400", "--seed", "1"],
+    ["simulate", "power", "--stat", "pwch", "--n", "5", "--grid", "0:2:1",
+     "--replicates", "200"],
+    ["simulate", "resistance", "--n", "5", "--grid", "-2:2:2",
+     "--replicates", "200"],
     ["simulate", "hetero", "--sizes", "5,9", "--replicates", "300"],
     ["tables", "generate", "--max-n", "8", "--out", "{tmp}/tables"],
     # exit 2: usage errors
@@ -77,6 +81,7 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
     ["simulate", "table3", "--n", "5", "--replicates", "10"],
     ["simulate", "hetero", "--sizes", "4", "--replicates", "10"],
     ["simulate", "power", "--critical", "-1", "--replicates", "100"],
+    ["simulate", "power", "--stat", "pwch", "--replicates", "0"],
     ["tables", "generate", "--out", "{odd}/tables"],
 ]
 

@@ -102,6 +102,25 @@ class TestConfig:
             with pytest.raises(DataError):
                 simulate_power("msd", 10, (0.0,), 100, seed=0, critical=crit)
 
+    def test_default_critical_waits_for_every_check(self, monkeypatch):
+        # both default thresholds raise if computed, so each bad argument
+        # must be rejected before either one starts
+        def work(*args):
+            raise RuntimeError("a default threshold was computed")
+
+        monkeypatch.setattr("msdstat.simulation._null_pool", work)
+        monkeypatch.setattr("msdstat.tables.quantile", work)
+        bad = [((10, (0.0,), 0, 0), "replicates must be a positive integer"),
+               ((10, (0.0,), 100, -1), "seed must be a 64-bit integer"),
+               ((10, (), 100, 0), "displacement grid must be non-empty"),
+               ((2, (0.0,), 100, 0), "n must be an integer")]
+        for runner in (simulate_power, simulate_resistance):
+            for statistic in ("msd", "pwch"):
+                for args, message in bad:
+                    with pytest.raises((DataError, DomainError),
+                                       match=message):
+                        runner(statistic, *args)
+
 
 class TestMultiQuantiles:
     def test_published_row_n10(self):
@@ -154,6 +173,12 @@ class TestPowerAndResistance:
         pwch = simulate_resistance("pwch", 10, (6.0,), 4000, seed=6,
                                    critical=2.611950149814246)
         assert pwch.proportion[0] >= msd.proportion[0] + 0.05
+
+    def test_msd_default_critical_is_the_exact_quantile(self):
+        explicit = simulate_resistance("msd", 5, (0.0, 2.0), 300, 4,
+                                       quantile(0.95, 5))
+        assert repr(simulate_resistance("msd", 5, (0.0, 2.0), 300, 4)) == \
+            repr(explicit)
 
     def test_curve_metadata(self):
         curve = simulate_power("pwch", 7, (0.0, 2.0), 500, seed=3, critical=2.6)

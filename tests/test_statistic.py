@@ -20,7 +20,6 @@ from msdstat.statistic import (
     _median_abs,
     _rescaled,
     _sliced,
-    pair_matrix,
     pwch_values,
     qe_values,
 )
@@ -115,14 +114,14 @@ class TestValidation:
 class TestScaledDifferences:
     def test_reference_pair(self):
         ds = study()
-        d = pair_matrix(ds.values(), ds.uncertainties())
+        d = props.pair_matrix(ds.values(), ds.uncertainties())
         i, j = LABS.index("Lab13"), LABS.index("Lab08")
         assert abs(d[i, j] - (-0.49005236871761737)) < 1e-12
         assert abs(d[i, j] - (-0.490)) < 1e-3
 
     def test_hand_computed_row(self):
         # equal uncertainties 1: sqrt(2) in every denominator
-        d = pair_matrix(np.array([0.0, 1.0, 3.0, 10.0]), np.ones(4))
+        d = props.pair_matrix(np.array([0.0, 1.0, 3.0, 10.0]), np.ones(4))
         assert d[0, 0] == 0.0
         row = d[0, 1:]  # partners in order, the diagonal removed
         want = np.array([-1.0, -3.0, -10.0]) / math.sqrt(2.0)
@@ -211,7 +210,7 @@ class TestBatchSlices:
             want_qe = np.empty_like(x)
             want_pwch = np.empty_like(x)
             for k in range(batch):
-                d = pair_matrix(x[k], uk[k])
+                d = props.pair_matrix(x[k], uk[k])
                 want_pwch[k] = (d * d).sum(axis=-1) / (n - 1)
                 want_qe[k] = np.median(np.abs(d[off].reshape(n, n - 1)),
                                        axis=1)
@@ -309,7 +308,7 @@ class TestExtremeScales:
             u = np.array([1e-320] * k + [1e300] * (n - k))
             with np.errstate(all="ignore"):
                 got = qe_values(x, u)
-                a = np.abs(pair_matrix(*_rescaled(x, u)))
+                a = np.abs(props.pair_matrix(*_rescaled(x, u)))
             a = np.sort(a[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=-1)
             half = (n - 1) // 2
             want = 0.5 * (a[:, half - 1] + a[:, half])
