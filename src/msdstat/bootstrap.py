@@ -15,7 +15,7 @@ import numpy as np
 
 from .distribution import _check_int, _check_seed, _validate_levels
 from .errors import DataError
-from .simulation import _QUANTILE_METHOD, _blocks
+from .simulation import _QUANTILE_METHOD, _blocks, _pool
 from .statistic import Dataset, qe_values
 
 
@@ -130,9 +130,7 @@ def bootstrap_msd(ds: Dataset, cfg: BootstrapConfig = BootstrapConfig()
     """
     u = ds.uncertainties()
     observed = qe_values(ds.values(), u)
-    sims = np.concatenate([
-        qe_values(rng.standard_normal((c, ds.n)) * u, u)
-        for rng, c in _blocks(cfg.seed, cfg.replicates)])
+    sims = _pool(qe_values, u, _blocks(cfg.seed, cfg.replicates))
     counts = (sims >= observed).sum(axis=0)
     raw = [max(int(k), 1) / cfg.replicates for k in counts]
     p_values = [[PValue(p, bool(k == 0)) for p, k in zip(ps, counts)]

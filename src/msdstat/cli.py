@@ -24,8 +24,8 @@ from .errors import ConvergenceError, MsdError
 from .simulation import (simulate_hetero_guideline, simulate_multi_quantiles,
                          simulate_power, simulate_resistance)
 from .statistic import INSPECT, SCREEN, msd
-from .tables import (_critical_value, _table_file, _table_for, build_table,
-                     save_table)
+from .tables import (_critical_value, _table_file, _table_for, _table_sizes,
+                     build_table, save_table)
 
 TABLES_ENV = "MSD_TABLES_DIR"
 _LEVELS = (0.95, 0.99)
@@ -246,8 +246,10 @@ def tables():
               help="Cap on the tabulated sizes, for quick partial builds.")
 def tables_generate(parity, out, max_n):
     """Rebuild the interpolation tables from the exact distribution."""
-    out.mkdir(parents=True, exist_ok=True)
     parities = ("even", "odd") if parity == "both" else (parity,)
+    for par in parities:  # the size cap fails before --out is created
+        _table_sizes(par, max_n)
+    out.mkdir(parents=True, exist_ok=True)
     for par in parities:
         table = build_table(par, max_n=max_n)
         path = out / _table_file(par)

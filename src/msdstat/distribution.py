@@ -41,33 +41,27 @@ _ODD_OUTER_TOL = 1e-8
 ASYMPTOTIC_LOWER_BOUND = NormalDist().inv_cdf(0.75) / _SQRT2
 
 
-def _integer(value) -> int | None:
-    """``value`` as an int if it is a Python or numpy integer, not a bool."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    return None
+def _check_int(name: str, value, rule: str, lo: int, hi: float = math.inf,
+               error: type = DataError) -> int:
+    """The one integer check: a Python or numpy integer, not a bool, in
+    [lo, hi), returned as an int. A failure raises ``error``: DataError for
+    a run argument (replicates, seed, size), DomainError for n."""
+    # int() before comparing: numpy 1.x compares a uint64 near 2**64 with a
+    # Python int through float64
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or not lo <= int(value) < hi):
+        raise error(f"{name} must be {rule}, got {value!r}")
+    return int(value)
 
 
 def _check_n(n) -> int:
     """The one check of a dataset size: an integer of at least 3."""
-    size = _integer(n)
-    if size is None or size < 3:
-        raise DomainError(f"n must be an integer >= 3, got {n!r}")
-    return size
+    return _check_int("n", n, "an integer >= 3", 3, error=DomainError)
 
 
 def _parity(n: int) -> str:
     """The parity of size n, which picks its exact case and its table."""
     return "odd" if n % 2 else "even"
-
-
-def _check_int(name: str, value, rule: str, lo: int,
-               hi: float = math.inf) -> int:
-    """A run argument (replicates, seed, size): an integer in [lo, hi)."""
-    checked = _integer(value)
-    if checked is None or not lo <= checked < hi:
-        raise DataError(f"{name} must be {rule}, got {value!r}")
-    return checked
 
 
 def _check_seed(seed) -> int:

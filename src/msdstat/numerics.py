@@ -107,9 +107,6 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     all in one batched integrand call per refinement sweep.
     """
     lo, hi = _limits(lo, hi)
-    if hi == lo:
-        return 0.0
-
     width = hi - lo
     n0 = 8
     edges = lo + width * np.arange(n0 + 1) / n0
@@ -178,10 +175,6 @@ def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     component).
     """
     lo, hi = _limits(lo, hi)
-    if hi == lo:
-        probe = np.asarray(f(np.array([lo])))
-        return np.zeros(probe.shape[1:])
-
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     prev = None

@@ -88,6 +88,19 @@ def _bracket_se(sorted_vals: np.ndarray, p: float) -> float:
     return 0.5 * float(sorted_vals[hi] - sorted_vals[lo])
 
 
+def _pool(kernel, u: np.ndarray, blocks) -> np.ndarray:
+    """``kernel(x, u)`` pooled over the blocks, each x_i ~ Normal(0, u_i):
+    the one replicate loop of the null studies and the bootstrap."""
+    return np.concatenate([kernel(rng.standard_normal((c, u.size)) * u, u)
+                           for rng, c in blocks])
+
+
+def _rate(hits, trials):
+    """A binomial rate and its standard error."""
+    rate = hits / trials
+    return rate, np.sqrt(rate * (1 - rate) / trials)
+
+
 def _null_pool(kernel, n: int, ps, replicates: int, seed: int):
     """Checked levels, and ``kernel``'s values pooled over every replicate
     of an all-null study of size n."""
@@ -97,10 +110,7 @@ def _null_pool(kernel, n: int, ps, replicates: int, seed: int):
         raise DataError(
             f"replicates={replicates} is too few for quantile estimation; "
             "need at least 1000")
-    ps = _validate_levels(ps)
-    u = np.ones(n)
-    return ps, np.concatenate([kernel(rng.standard_normal((c, n)), u)
-                               for rng, c in blocks])
+    return _validate_levels(ps), _pool(kernel, np.ones(n), blocks)
 
 
 def simulate_multi_quantiles(n: int, ps, replicates: int,
@@ -146,11 +156,9 @@ def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
             z[:, contaminated_index] += delta
             subject = _sliced(kernel, z, u, rows=(0,))[:, 0]
             counts[j] += int((subject > critical).sum())
-    prop = counts / replicates
-    se = np.sqrt(prop * (1.0 - prop) / replicates)
     # _blocks has checked replicates and seed; numpy integers are stored as int
-    return PowerCurve(statistic, grid, prop, se, float(critical),
-                      n, int(replicates), int(seed))
+    return PowerCurve(statistic, grid, *_rate(counts, replicates),
+                      float(critical), n, int(replicates), int(seed))
 
 
 def simulate_power(statistic: str, n: int, grid, replicates: int, seed: int,
@@ -204,13 +212,8 @@ def simulate_hetero_guideline(sizes, replicates: int, seed: int) -> HeteroStudy:
             qe = qe_values(x, u)
             value_hits[j] += int((qe > INSPECT).sum())
             dataset_hits[j] += int((qe > SCREEN).any(axis=1).sum())
-    value_count = replicates * np.array(sizes)
-    value_rate = value_hits / value_count
-    dataset_rate = dataset_hits / replicates
-    return HeteroStudy(sizes, value_rate,
-                       np.sqrt(value_rate * (1 - value_rate) / value_count),
-                       dataset_rate,
-                       np.sqrt(dataset_rate * (1 - dataset_rate) / replicates),
+    return HeteroStudy(sizes, *_rate(value_hits, replicates * np.array(sizes)),
+                       *_rate(dataset_hits, replicates),
                        int(replicates), int(seed))
 
 

@@ -157,19 +157,24 @@ def _table_file(parity: str) -> str:
     return f"msd_table_{parity}.csv"
 
 
-def build_table(parity: str, max_n: int | None = None) -> QuantileTable:
-    """Compute the full probability table for one parity from quadrature.
-
-    ``max_n`` truncates the finite size grid (the asymptotic row is always
-    kept); useful for quick rebuilds in tests and command-line smoke runs.
-    """
+def _table_sizes(parity: str, max_n: int | None) -> tuple[int, ...]:
+    """The finite sizes of one parity's table, capped at ``max_n`` if given."""
     _check_parity(parity)
     sizes = EVEN_SIZES if parity == "even" else ODD_SIZES
     if max_n is not None:
         sizes = tuple(n for n in sizes if n <= max_n)
         if not sizes:
             raise DomainError(f"max_n={max_n} leaves no table rows")
+    return sizes
 
+
+def build_table(parity: str, max_n: int | None = None) -> QuantileTable:
+    """Compute the full probability table for one parity from quadrature.
+
+    ``max_n`` truncates the finite size grid (the asymptotic row is always
+    kept); useful for quick rebuilds in tests and command-line smoke runs.
+    """
+    sizes = _table_sizes(parity, max_n)
     t_knots = knot_grid()
     rows = []
     for n in sizes:

@@ -44,6 +44,9 @@ class TestConfig:
         for bad in (-1, 2 ** 64, 0.5):
             with pytest.raises(DataError):
                 BootstrapConfig(seed=bad)
+        for top in (2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+            seed = BootstrapConfig(seed=top).seed
+            assert type(seed) is int and seed == 2 ** 64 - 1
 
     def test_levels_validated(self):
         # a level outside (0, 1) is a domain error, a bad list a data error

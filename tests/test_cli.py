@@ -445,15 +445,17 @@ class TestSimulateCmds:
 
 
 class TestChecksBeforeWork:
-    # the pwch calibration and the exact quantile raise if they start, so a
-    # command that computes before checking its arguments exits 1, not 3
+    # the pwch calibration, the exact quantile and the table build raise if
+    # they start, so a command that computes before checking its arguments
+    # exits 1, not 3
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
-        def work(*args):
+        def work(*args, **kwargs):
             raise RuntimeError("work started before the checks")
 
         monkeypatch.setattr("msdstat.simulation._null_pool", work)
         monkeypatch.setattr("msdstat.tables.quantile", work)
+        monkeypatch.setattr("msdstat.cli.build_table", work)
         monkeypatch.delenv(TABLES_ENV, raising=False)
 
     @pytest.mark.parametrize("args, message", [
@@ -470,6 +472,22 @@ class TestChecksBeforeWork:
         args = [a.format(study=study_path) for a in args]
         result = runner.invoke(entrypoint, args)
         assert (result.exit_code, result.output) == (3, f"error: {message}\n")
+
+    def test_tables_generate_checks_before_creating_out(self, runner,
+                                                        tmp_path):
+        out = tmp_path / "capped"
+        result = runner.invoke(entrypoint, ["tables", "generate", "--parity",
+                                            "even", "--max-n", "3", "--out",
+                                            str(out)])
+        assert (result.exit_code, result.output) == (
+            3, "error: max_n=3 leaves no table rows\n")
+        assert not out.exists()
+        # an unwritable --out still fails before the build
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        result = runner.invoke(entrypoint, ["tables", "generate", "--out",
+                                            str(blocker / "sub")])
+        assert result.exit_code == 3
 
 
 class TestBootstrapCmd:

@@ -83,6 +83,8 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
     ["simulate", "power", "--critical", "-1", "--replicates", "100"],
     ["simulate", "power", "--stat", "pwch", "--replicates", "0"],
     ["tables", "generate", "--out", "{odd}/tables"],
+    ["tables", "generate", "--parity", "even", "--max-n", "3",
+     "--out", "{tmp}/capped"],
 ]
 
 # full-precision quadrature numbers: the structured critical values and

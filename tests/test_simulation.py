@@ -29,19 +29,19 @@ def _runs(n=10, replicates=1000, seed=0):
 
 class TestConfig:
     def test_rejects_bad_n(self):
-        for n in (2, 0, -4, 3.0, "10", True):
+        for n in (2, 0, -4, 3.0, "10", True, np.bool_(True)):
             for run in _runs(n=n)[:-1]:
                 with pytest.raises(DomainError, match="n must be an integer"):
                     run()
 
     def test_rejects_bad_replicates(self):
-        for r in (0, -1, 10.5, None):
+        for r in (0, -1, 10.5, None, True, np.bool_(True)):
             for run in _runs(replicates=r):
                 with pytest.raises(DataError, match="replicates must be"):
                     run()
 
     def test_rejects_bad_seed(self):
-        for s in (-1, 2 ** 64, 1.5):
+        for s in (-1, 2 ** 64, 1.5, True, np.bool_(True)):
             for run in _runs(seed=s):
                 with pytest.raises(DataError, match="seed must be"):
                     run()
