@@ -7,6 +7,7 @@ group maps library errors onto these codes for every command, the
 """
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -274,6 +275,23 @@ def _parse_sizes(ctx, param, value):
         raise click.BadParameter("expected a comma-separated list of sizes")
 
 
+def _check_out(out: Path | None) -> None:
+    """Raise the OSError that writing ``out`` would, before a study runs
+    for nothing; ``out`` is neither created nor truncated."""
+    if out is None:
+        return
+    path = os.fspath(out)
+    try:
+        os.stat(path)  # raises the write's own error for a file above path
+        where = path
+    except FileNotFoundError:
+        where = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(where):
+            raise
+    if not os.access(where, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _emit(lines, out: Path | None):
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -299,6 +317,7 @@ def simulate():
               default=None)
 def simulate_table3(n, p, replicates, seed, out):
     """Empirical multiple-observation critical value for one study size."""
+    _check_out(out)
     (est,) = simulate_multi_quantiles(n, (p,), replicates, seed)
     _emit([
         f"# multiple-observation quantile; replicates={replicates} seed={seed}",
@@ -323,6 +342,7 @@ def _grid_study(kind, runner, grid, grid_help, doc):
     @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
                   default=None)
     def command(grid, statistic, n, replicates, seed, critical, out):
+        _check_out(out)
         curve = runner(statistic, n, grid, replicates, seed, critical)
         lines = [
             f"# {kind}; statistic={statistic} n={n} replicates={replicates} "
@@ -351,6 +371,7 @@ _grid_study("resistance", simulate_resistance, "-8:8:1",
               default=None)
 def simulate_hetero(sizes, replicates, seed, out):
     """Rule-of-thumb exceedance rates under chi-squared(3) variances."""
+    _check_out(out)
     study = simulate_hetero_guideline(sizes, replicates, seed)
     lines = [
         f"# guideline exceedance rates; replicates={replicates} seed={seed}",

@@ -34,6 +34,9 @@ _X0_CUTOFF = 8.5  # normal weight beyond this is < 1e-17, below every tolerance 
 # Absolute quadrature tolerances in probability; the table file header
 # records them, so changing one means regenerating the bundled tables.
 _EVEN_TOL = 1e-9
+# integrate_batch accepts a level when, in every x0 column, it agrees with
+# the level before within this tol, or, from the third level on, when the
+# difference did not grow and its geometric extrapolation is within tol
 _ODD_INNER_TOL = 1e-10
 _ODD_OUTER_TOL = 1e-8
 

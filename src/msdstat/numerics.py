@@ -63,7 +63,8 @@ _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 _MAX_INTERVALS = 2048  # panel budget of integrate
 _MAX_NODES = 2048      # top Clenshaw-Curtis level m (m + 1 nodes) of integrate_batch
 _XTOL = 1e-10          # absolute tolerance of find_root
-_RTOL = 4 * sys.float_info.epsilon  # relative tolerance of find_root (brentq's)
+_EPS = sys.float_info.epsilon  # relative rounding floor of integrate_batch's levels
+_RTOL = 4 * _EPS       # relative tolerance of find_root (brentq's)
 _MAX_ITER = 100        # iteration budget of find_root (brentq's)
 
 
@@ -170,14 +171,21 @@ def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     (k, ...); each trailing slice is integrated independently. The rule is
     nested Clenshaw-Curtis: level m has the m + 1 nodes cos(pi j / m)
     mapped onto [lo, hi], m doubles from 16, and each level evaluates only
-    its new odd-j nodes, so no abscissa is evaluated twice. Levels stop
-    when successive estimates agree within ``tol`` (absolute, per
-    component).
+    its new odd-j nodes, so no abscissa is evaluated twice.
+
+    A level is accepted on one of two exits, each checked on every
+    component against ``tol`` (absolute). With diff = |est_m - est_{m/2}|:
+
+    - diff <= tol, successive estimates agree;
+    - from the third level on, diff did not grow from the level before
+      (last), and the geometric extrapolation of est_m's own error,
+      diff**2 / last (0 where diff is 0), is within ``tol``. Its floor is
+      m * eps * |est_m|, so an estimate limited by rounding never passes.
     """
     lo, hi = _limits(lo, hi)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    prev = None
+    prev = last = None
     vals = None
     m = 16
     while m <= _MAX_NODES:
@@ -195,8 +203,18 @@ def integrate_batch(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         with np.errstate(over="ignore", invalid="ignore"):
             est = half * (wk * vals).sum(axis=0)
         _finite(est, "level estimate overflowed to")
-        if prev is not None and np.max(np.abs(est - prev)) <= tol:
-            return est
+        if prev is not None:
+            diff = np.abs(est - prev)
+            if np.max(diff) <= tol:
+                return est
+            if last is not None and np.all(diff <= last):
+                # diff / last <= 1, so the product cannot overflow
+                ratio = np.divide(diff, last, out=np.zeros_like(diff),
+                                  where=diff > 0)
+                bound = np.maximum(diff * ratio, m * _EPS * np.abs(est))
+                if np.max(bound) <= tol:
+                    return est
+            last = diff
         prev = est
         m *= 2
     raise ConvergenceError(

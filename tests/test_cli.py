@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import msdstat
 from msdstat import DataError
-from msdstat.cli import TABLES_ENV, entrypoint
+from msdstat.cli import TABLES_ENV, _check_out, entrypoint
 from msdstat.datasets import conductivity_study, load_study, save_study
 from msdstat.errors import ConvergenceError
 from msdstat.tables import QuantileTable, default_table, save_table
@@ -488,6 +488,73 @@ class TestChecksBeforeWork:
         result = runner.invoke(entrypoint, ["tables", "generate", "--out",
                                             str(blocker / "sub")])
         assert result.exit_code == 3
+
+
+class TestSimulateOutBeforeWork:
+    # every simulate study draws through simulation._blocks, so a study
+    # that starts raises and the command exits 1
+    STUDIES = [["simulate", "table3", "--n", "7"], ["simulate", "power"],
+               ["simulate", "resistance"], ["simulate", "hetero"]]
+
+    @pytest.fixture(autouse=True)
+    def no_study(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise RuntimeError("the study started")
+
+        monkeypatch.setattr("msdstat.simulation._blocks", work)
+
+    @pytest.mark.parametrize("where", ["missing/out.csv", "file/out.csv"],
+                             ids=["missing directory", "file as directory"])
+    @pytest.mark.parametrize("study", STUDIES, ids=" ".join)
+    def test_unwritable_out_exits_3_with_the_write_error(self, runner,
+                                                         tmp_path, study,
+                                                         where):
+        (tmp_path / "file").write_text("x")
+        out = tmp_path / where
+        with pytest.raises(OSError) as write:
+            out.write_text("")
+        result = runner.invoke(entrypoint, study + ["--out", str(out)])
+        assert (result.exit_code, result.output) == (3,
+                                                     f"error: {write.value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study", STUDIES, ids=" ".join)
+    def test_out_untouched_until_the_study_succeeds(self, runner, tmp_path,
+                                                    study):
+        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+        kept.write_text("kept\n")
+        for out in (kept, new):
+            result = runner.invoke(entrypoint, study + ["--out", str(out)])
+            assert isinstance(result.exception, RuntimeError)
+        assert kept.read_text() == "kept\n" and not new.exists()
+
+    @pytest.mark.parametrize("target", ["locked/new.csv", "locked.csv"],
+                             ids=["read-only directory", "read-only file"])
+    def test_permission_check_matches_the_write(self, tmp_path, target):
+        # the same verdict as the write itself, as any user (root writes both)
+        locked_dir, locked_file = tmp_path / "locked", tmp_path / "locked.csv"
+        locked_dir.mkdir()
+        locked_file.write_text("kept\n")
+        locked_dir.chmod(0o555)
+        locked_file.chmod(0o444)
+        out = tmp_path / target
+        try:
+            try:
+                _check_out(out)
+                checked = None
+            except PermissionError as exc:
+                checked = str(exc)
+            assert locked_file.read_text() == "kept\n"
+            assert not (locked_dir / "new.csv").exists()
+            try:
+                out.write_text("")
+                written = None
+            except PermissionError as exc:
+                written = str(exc)
+        finally:
+            locked_dir.chmod(0o755)
+            locked_file.chmod(0o644)
+        assert checked == written
 
 
 class TestBootstrapCmd:

@@ -82,6 +82,10 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
     ["simulate", "hetero", "--sizes", "4", "--replicates", "10"],
     ["simulate", "power", "--critical", "-1", "--replicates", "100"],
     ["simulate", "power", "--stat", "pwch", "--replicates", "0"],
+    ["simulate", "table3", "--n", "7", "--replicates", "1000",
+     "--out", "{tmp}/missing/table3.csv"],
+    ["simulate", "power", "--grid", "0:2:1", "--replicates", "500",
+     "--out", "{odd}/power.csv"],
     ["tables", "generate", "--out", "{odd}/tables"],
     ["tables", "generate", "--parity", "even", "--max-n", "3",
      "--out", "{tmp}/capped"],

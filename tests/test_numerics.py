@@ -115,6 +115,50 @@ class TestIntegrateBatch:
         # the first level, 17 nodes, is already exact; 16 more confirm it
         assert sum(seen) == 33
 
+    def test_extrapolated_exit_skips_the_confirming_level(self):
+        seen = []
+
+        def f(t):
+            seen.append(t.size)
+            return 1.0 / np.cosh(4.0 * t) ** 2
+
+        val = integrate_batch(f, -1.0, 1.0)
+        assert abs(float(val) - math.tanh(4.0) / 2.0) < 1e-14
+        # level 64's difference is above tol, but its square over level
+        # 32's is not; successive agreement alone would need 129 nodes
+        assert sum(seen) == 65
+
+    def test_rounding_floor_blocks_the_extrapolated_exit(self):
+        # |est| ~ 2.4e7 puts rounding near 1e-9, so tol 1e-10 is out of
+        # reach: without the m * eps * |est| floor, the squared differences
+        # would accept a value 3.7e-9 off after 65 nodes
+        seen = []
+
+        def f(t):
+            seen.append(t.size)
+            return np.exp(20.0 * t)[:, None]
+
+        with pytest.raises(ConvergenceError):
+            integrate_batch(f, 0.0, 1.0, tol=1e-10)
+        assert sum(seen) == 2049
+
+    def test_growing_column_keeps_successive_agreement(self):
+        # the second column's difference grows from level 32 to 64 while
+        # staying below tol, so the extrapolated exit that the first column
+        # takes alone at 65 nodes (above) waits, and the batch stops where
+        # successive agreement does, at 129
+        seen = []
+
+        def f(t):
+            seen.append(t.size)
+            return np.stack([1.0 / np.cosh(4.0 * t) ** 2,
+                             1e-9 * np.cos(92.0 * t)], axis=-1)
+
+        val = integrate_batch(f, -1.0, 1.0)
+        want = np.array([math.tanh(4.0) / 2.0, 2e-9 * math.sin(92.0) / 92.0])
+        assert np.max(np.abs(val - want)) < 1e-14
+        assert seen == [17, 16, 32, 64]
+
     def test_node_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             integrate_batch(lambda t: np.sin(1e5 / (t + 1e-4)), 0.0, 1.0, tol=1e-12)
