@@ -58,10 +58,12 @@ def _parse_study(lines, origin: str) -> Dataset:
 
 
 def load_study(path) -> Dataset:
-    """Parse a study file; errors carry the file name and line number."""
+    """Parse a study file; errors carry the file name and line number. A
+    leading byte-order mark, as spreadsheets' CSV UTF-8 export writes, is
+    dropped."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read study file {path}: {exc}") from exc
     return _parse_study(text.splitlines(), origin=path.name)
@@ -77,5 +79,4 @@ def save_study(ds: Dataset, path) -> None:
 
 def conductivity_study() -> Dataset:
     """The bundled thirteen-laboratory conductivity comparison."""
-    text = (resources.files("msdstat") / "data" / "ccqm_p22.csv").read_text()
-    return _parse_study(text.splitlines(), origin="ccqm_p22.csv")
+    return load_study(resources.files("msdstat") / "data" / "ccqm_p22.csv")

@@ -1,4 +1,5 @@
 """Command-line surface: parsing, exit codes, routing, and reproducibility."""
+import errno
 import json
 import math
 import os
@@ -80,6 +81,15 @@ class TestStudyFiles:
         path.write_text("# only comments\n")
         with pytest.raises(DataError, match="header"):
             load_study(path)
+
+    def test_byte_order_mark_is_dropped(self, runner, study_path, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + study_path.read_bytes())
+        assert load_study(marked) == load_study(study_path)
+        plain, bom = (invoke(runner, ["analyze", str(path)]).output
+                      for path in (study_path, marked))
+        assert bom == plain
 
 
 class TestAnalyze:
@@ -555,6 +565,25 @@ class TestSimulateOutBeforeWork:
             locked_dir.chmod(0o755)
             locked_file.chmod(0o644)
         assert checked == written
+
+    @pytest.mark.parametrize("target", ["kept.csv", "new.csv"],
+                             ids=["existing file", "new file"])
+    def test_denied_write_exits_3_before_the_study(self, runner, tmp_path,
+                                                   monkeypatch, target):
+        # root may write anywhere, so the denial of writes is patched in
+        monkeypatch.setattr("msdstat.cli.os.access",
+                            lambda path, mode: not mode & os.W_OK)
+        (tmp_path / "kept.csv").write_text("kept\n")
+        out = tmp_path / target
+        with pytest.raises(PermissionError) as err:
+            _check_out(out)
+        assert (err.value.errno, err.value.filename) == (errno.EACCES,
+                                                         str(out))
+        result = runner.invoke(entrypoint, ["simulate", "table3", "--n", "7",
+                                            "--out", str(out)])
+        assert (result.exit_code, result.output) == (3, f"error: {err.value}\n")
+        assert (tmp_path / "kept.csv").read_text() == "kept\n"
+        assert not (tmp_path / "new.csv").exists()
 
 
 class TestBootstrapCmd:

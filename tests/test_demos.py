@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the package source."""
+"""Every script under demos/ runs to completion against the package source,
+with every warning an error."""
 import os
 import subprocess
 import sys
@@ -17,6 +18,6 @@ def test_demo_runs(demo):
     src = str(Path(msdstat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          env=env, cwd=ROOT, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr[-2000:]

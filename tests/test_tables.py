@@ -38,6 +38,12 @@ import reference_tables as ref
 SUPPORT_Q = 0.674 / math.sqrt(2.0)
 
 
+@pytest.fixture(scope="module")
+def fresh_build():
+    """Both tables built from quadrature, once for the module's tests."""
+    return {parity: build_table(parity) for parity in ("even", "odd")}
+
+
 class TestGrids:
     def test_knot_grid_shape(self):
         t = knot_grid()
@@ -92,10 +98,10 @@ class TestBuild:
             build_table("even", max_n=4)
         assert str(err.value.__cause__) == "budget exhausted"
 
-    def test_shipped_tables_match_fresh_build(self):
+    def test_shipped_tables_match_fresh_build(self, fresh_build):
         for parity in ("even", "odd"):
             shipped = default_table(parity)
-            fresh = build_table(parity)
+            fresh = fresh_build[parity]
             assert shipped.sizes == fresh.sizes
             assert np.array_equal(shipped.knots_t, fresh.knots_t)
             assert np.array_equal(shipped.probs, fresh.probs)
@@ -352,6 +358,17 @@ class TestMultiQuantileAdjusted:
         vals = [multi_quantile_adjusted(10, p) for p in (0.9, 0.95, 0.99, 0.999)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_table_route_against_exact(self):
+        # multiple mode reads the table near p = 1, where the cubic in P
+        # misses by up to 2.29e-2 (n = 1000, p = 0.99); ROADMAP item 1
+        # tightens this bound
+        for n in (5, 10, 13, 30, 51, 99, 101, 149, 150, 1000, 5000):
+            table = tables._table_for(n, None)
+            for p in (0.95, 0.99):
+                exact = tables._critical_value(n, p, "multiple")
+                looked_up = tables._critical_value(n, p, "multiple", table)
+                assert abs(looked_up - exact) < 2.5e-2, (n, p)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             multi_quantile_adjusted(2, 0.95)
@@ -361,13 +378,13 @@ class TestMultiQuantileAdjusted:
             multi_quantile_adjusted(math.inf, 0.95)
 
 
-def test_full_rebuild_matches_bundled_files(tmp_path):
+def test_full_rebuild_matches_bundled_files(tmp_path, fresh_build):
     # regeneration from scratch must be byte-stable against the shipped files
     from importlib import resources
 
     for parity in ("even", "odd"):
         path = tmp_path / f"msd_table_{parity}.csv"
-        save_table(build_table(parity), path)
+        save_table(fresh_build[parity], path)
         bundled = resources.files("msdstat").joinpath(
             f"data/msd_table_{parity}.csv")
         assert path.read_bytes() == bundled.read_bytes(), parity
