@@ -313,8 +313,8 @@ def simulate():
               show_default=True)
 @click.option("--replicates", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
-              default=None)
+@click.option("--out", type=click.Path(dir_okay=False, readable=False,
+                                      path_type=Path), default=None)
 def simulate_table3(n, p, replicates, seed, out):
     """Empirical multiple-observation critical value for one study size."""
     _check_out(out)
@@ -339,8 +339,8 @@ def _grid_study(kind, runner, grid, grid_help, doc):
     @click.option("--critical", type=float, default=None,
                   help="Detection threshold (default: the 95% critical value, "
                        "exact for msd, self-calibrated for pwch).")
-    @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
-                  default=None)
+    @click.option("--out", type=click.Path(dir_okay=False, readable=False,
+                                          path_type=Path), default=None)
     def command(grid, statistic, n, replicates, seed, critical, out):
         _check_out(out)
         curve = runner(statistic, n, grid, replicates, seed, critical)
@@ -367,8 +367,8 @@ _grid_study("resistance", simulate_resistance, "-8:8:1",
               show_default=True)
 @click.option("--replicates", type=int, default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
-              default=None)
+@click.option("--out", type=click.Path(dir_okay=False, readable=False,
+                                      path_type=Path), default=None)
 def simulate_hetero(sizes, replicates, seed, out):
     """Rule-of-thumb exceedance rates under chi-squared(3) variances."""
     _check_out(out)

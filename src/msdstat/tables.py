@@ -5,23 +5,21 @@ expressed through the bounded transform t = q/(1+q): 49 regularly spaced
 values of t on [0, 0.8], one knot at q = 0.674/sqrt(2) (the left support
 bound of the limiting distribution), and one at t = 1 (q = infinity).
 Rows cover a fixed grid of sizes per parity plus the asymptotic row,
-which doubles as the n/(n+1) = 1 endpoint when interpolating to very
-large n.
+which is the m = n/(n+1) = 1 node when interpolating across sizes.
 
 Lookups spline the probabilities against t with a monotone Hermite
 cubic and invert by root search on that spline; quantiles are never
 obtained from a transposed quantile-versus-probability fit. The cubic's
 tangents start from three-point parabolic estimates and are clamped to
 [0, 3 * min(adjacent secants)], Hyman's filter, which keeps each piece
-monotone and reproduces the knot values exactly. A table computes the
-tangents of all its rows once, when it is built or loaded; a synthesized
-row gets its tangents the same way.
+monotone and reproduces the knot values exactly. A lookup computes the
+tangents of its one row, tabulated or synthesized, the same way.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -70,8 +68,6 @@ class QuantileTable:
     sizes: tuple[float, ...]    # ascending, math.inf last
     knots_t: np.ndarray         # 51 values of q/(1+q), ascending, last is 1.0
     probs: np.ndarray           # shape (len(sizes), len(knots_t))
-    # spline tangents of every row, same shape; derived from probs
-    tangents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
@@ -96,23 +92,21 @@ class QuantileTable:
             raise DataError("each row must be non-decreasing along q")
         if np.any(self.probs[:, -1] != 1.0):
             raise DataError("final column must be exactly 1")
-        object.__setattr__(self, "tangents", _tangents(knots, self.probs))
 
 
 def _tangents(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Hyman-filtered tangents of the monotone cubic through each row of
-    ``y`` (non-decreasing along the last axis) at the knots ``t``."""
+    """Hyman-filtered tangents of the monotone cubic through the
+    non-decreasing values ``y`` at the knots ``t``."""
     h = np.diff(t)
-    delta = np.diff(y, axis=-1) / h
+    delta = np.diff(y) / h
     m = np.empty(y.shape)
-    m[..., 0] = delta[..., 0]
-    m[..., -1] = delta[..., -1]
-    m[..., 1:-1] = ((h[1:] * delta[..., :-1] + h[:-1] * delta[..., 1:])
-                    / (h[1:] + h[:-1]))
+    m[0] = delta[0]
+    m[-1] = delta[-1]
+    m[1:-1] = (h[1:] * delta[:-1] + h[:-1] * delta[1:]) / (h[1:] + h[:-1])
     cap = np.empty(y.shape)
-    cap[..., 0] = 3.0 * delta[..., 0]
-    cap[..., -1] = 3.0 * delta[..., -1]
-    cap[..., 1:-1] = 3.0 * np.minimum(delta[..., :-1], delta[..., 1:])
+    cap[0] = 3.0 * delta[0]
+    cap[-1] = 3.0 * delta[-1]
+    cap[1:-1] = 3.0 * np.minimum(delta[:-1], delta[1:])
     return np.clip(m, 0.0, cap)
 
 
@@ -309,12 +303,14 @@ def _synth_row(table: QuantileTable, n: int, rows: slice) -> np.ndarray:
 def interp_probability(table: QuantileTable, n, q) -> float:
     """P(Q_E <= q) for size n served from the table.
 
-    Tabulated sizes evaluate their own monotone spline; untabulated sizes
-    first synthesize a probability row across sizes, then spline it.
-    Agreement with direct quadrature is better than 0.0005 for q >= 0.6,
-    but not near the left support edge, tabulated rows included: 3.1e-3 at
-    n = 500, q = 0.52; 1.3e-2 at 5000, 0.49; 4.2e-2 at 100,000, 0.48; and
-    4.0e-3 at the untabulated n = 616, q = 0.5098 (ROADMAP item 5).
+    A tabulated size evaluates its own row's monotone spline. Any other
+    size first synthesizes a row through the four rows around it in
+    m = n/(n+1), where the asymptotic row is the node at m = 1; that needs
+    at least three finite rows. Agreement with direct quadrature is better
+    than 0.0005 for q >= 0.6, but not near the left support edge,
+    tabulated rows included: 3.1e-3 at n = 500, q = 0.52; 1.3e-2 at 5000,
+    0.49; 4.2e-2 at 100,000, 0.48; and 4.0e-3 at the untabulated n = 616,
+    q = 0.5098 (ROADMAP item 5).
     """
     q = _validate_q(q)
     y, m = _lookup_row(table, n)
@@ -322,35 +318,30 @@ def interp_probability(table: QuantileTable, n, q) -> float:
 
 
 def _lookup_row(table: QuantileTable, n) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and spline tangents of size n's row, tabulated or
-    synthesized from the four rows around n inside the finite grid, or the
-    last two and the asymptotic row beyond it; refuses an n it cannot serve."""
-    if n == math.inf:
-        return table.probs[-1], table.tangents[-1]
-    n = _check_n(n)
+    """Probabilities and spline tangents of size n's row: the tabulated row,
+    or one synthesized through the four rows around n on the m = n/(n+1)
+    axis, whose last node is the asymptotic row at m = 1. Refuses an n of
+    the other parity, any synthesis from fewer than three finite rows and
+    an n below the smallest row."""
+    if n != math.inf:
+        n = _check_n(n)
     if n in table.sizes:
-        i = table.sizes.index(n)
-        return table.probs[i], table.tangents[i]
-    parity = _parity(n)
-    if parity != table.parity:
-        raise TableRangeError(f"n={n} is {parity}; the {table.parity} "
-                              f"table serves only {table.parity} sizes")
-    finite = len(table.sizes) - 1
-    if not finite:
-        raise TableRangeError(f"the {table.parity} table holds only the "
-                              f"asymptotic row, so it cannot serve n={n}")
-    smallest = table.sizes[0]
-    if n < smallest:
-        raise TableRangeError(
-            f"n={n} is below the smallest tabulated size {int(smallest)} "
-            f"of the {table.parity} table")
-    j = bisect.bisect(table.sizes, n)  # rows below n
-    inside = j < finite
-    if finite < (4 if inside else 2):
-        raise TableRangeError(f"too few rows in the {table.parity} table "
-                              f"({finite}) to synthesize n={n}")
-    lo = max(0, min(j - 2, finite - 4)) if inside else j - 2
-    y = _synth_row(table, n, slice(lo, lo + (4 if inside else 3)))
+        y = table.probs[table.sizes.index(n)]
+    else:
+        parity = _parity(n)
+        if parity != table.parity:
+            raise TableRangeError(f"n={n} is {parity}; the {table.parity} "
+                                  f"table serves only {table.parity} sizes")
+        finite = len(table.sizes) - 1
+        if finite < 3:
+            raise TableRangeError(f"too few rows in the {table.parity} table "
+                                  f"({finite}) to synthesize n={n}")
+        if n < table.sizes[0]:
+            raise TableRangeError(
+                f"n={n} is below the smallest tabulated size "
+                f"{int(table.sizes[0])} of the {table.parity} table")
+        lo = max(0, min(bisect.bisect(table.sizes, n) - 2, finite - 3))
+        y = _synth_row(table, n, slice(lo, lo + 4))
     return y, _tangents(table.knots_t, y)
 
 

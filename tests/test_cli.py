@@ -229,8 +229,8 @@ class TestAnalyze:
         result = runner.invoke(entrypoint, ["analyze", str(path), "--tables",
                                             str(tdir)])
         assert result.exit_code == 3
-        assert result.stderr == ("error: the even table holds only the "
-                                 "asymptotic row, so it cannot serve n=10\n")
+        assert result.stderr == ("error: too few rows in the even table (0) "
+                                 "to synthesize n=10\n")
 
     def test_table_routing_via_flag_and_env(self, runner, study_path,
                                             tmp_path):
@@ -452,6 +452,24 @@ class TestSimulateCmds:
                 result = runner.invoke(entrypoint, args + extra)
                 assert (result.exit_code, result.output) == (
                     3, f"error: {want}\n"), args + extra
+
+    @pytest.mark.parametrize("args", [
+        ["table3", "--n", "7", "--replicates", "1000"],
+        ["power", "--grid", "0:1:1", "--replicates", "100"],
+        ["hetero", "--sizes", "5", "--replicates", "100"]],
+        ids=["table3", "power and resistance", "hetero"])
+    def test_write_only_out_file_is_rewritten(self, runner, tmp_path,
+                                              monkeypatch, args):
+        # --out is only written, so a file the user may not read is fine;
+        # root may read anything, so the denial of reads is patched in
+        monkeypatch.setattr("msdstat.cli.os.access",
+                            lambda path, mode: not mode & os.R_OK)
+        out = tmp_path / "kept.csv"
+        out.write_text("kept\n")
+        result = runner.invoke(entrypoint, ["simulate", *args,
+                                            "--out", str(out)])
+        assert (result.exit_code, result.output) == (0, f"wrote {out}\n")
+        assert out.read_text().startswith("# ")
 
 
 class TestChecksBeforeWork:

@@ -17,6 +17,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -149,6 +150,16 @@ def test_cli_matches_golden(tmp_path):
         assert got_text == want_text, got["args"]
         assert got_nums == pytest.approx(want_nums, rel=1e-12, abs=0), \
             got["args"]
+
+
+def test_every_command_has_a_help_golden():
+    def paths(command, path):
+        yield path
+        if isinstance(command, click.Group):
+            for name, sub in command.commands.items():
+                yield from paths(sub, path + (name,))
+
+    assert set(paths(entrypoint, ())) == {tuple(cmd) for cmd in _HELP}
 
 
 if __name__ == "__main__":

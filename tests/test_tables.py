@@ -98,6 +98,17 @@ class TestBuild:
             build_table("even", max_n=4)
         assert str(err.value.__cause__) == "budget exhausted"
 
+    def test_odd_rows_above_99_are_the_even_case(self):
+        # the odd table holds the runtime rule: odd n > 99 is the even
+        # case at n + 1, and from 500 up it lists the even rows themselves
+        even, odd = default_table("even"), default_table("odd")
+        i, j = odd.sizes.index(500), even.sizes.index(500)
+        assert odd.sizes[i:] == even.sizes[j:]
+        assert np.array_equal(odd.probs[i:], even.probs[j:])
+        for n in (109, 129, 149, 169, 189):
+            assert np.array_equal(odd.probs[odd.sizes.index(n)],
+                                  tables._build_row(n + 1, knot_grid())), n
+
     def test_shipped_tables_match_fresh_build(self, fresh_build):
         for parity in ("even", "odd"):
             shipped = default_table(parity)
@@ -255,6 +266,24 @@ class TestInterpProbability:
     def test_validation_points_match_quadrature(self):
         props.check_table_validation_points()
 
+    def test_untabulated_sizes_above_100000(self):
+        for n in (150_000, 150_001, 600_000, 600_001, 10 ** 6):
+            tab = tables._table_for(n, None)
+            for q in np.linspace(0.6, 3.5, 30):
+                assert abs(interp_probability(tab, n, q) - cdf(q, n)) \
+                    < 2.5e-4, (n, q)
+            for p in (0.95, 0.99):
+                assert abs(interp_quantile(tab, n, p) - quantile(p, n)) \
+                    < 2.5e-4, (n, p)
+
+    def test_rows_beyond_the_grid_use_the_asymptotic_node(self):
+        # every synthesized row takes the four rows around n on the
+        # m = n/(n+1) axis, whose last node is the asymptotic row
+        for n in (200_000, 600_000):
+            tab = tables._table_for(n, None)
+            assert np.array_equal(tables._lookup_row(tab, n)[0],
+                                  tables._synth_row(tab, n, slice(-4, None)))
+
     def test_range_errors(self):
         tab = default_table("even")
         with pytest.raises(TableRangeError):
@@ -295,7 +324,7 @@ class TestInterpQuantile:
                 assert abs(interp_probability(tab, n, q) - p) < 1e-6
 
     def test_too_few_rows_to_synthesize(self):
-        # cross-size rows need four finite rows inside the grid, two beyond
+        # a synthesized row needs three finite rows besides the asymptotic one
         full = default_table("even")
         keep = [full.sizes.index(4), full.sizes.index(10), -1]
         sparse = QuantileTable("even", (4.0, 10.0, math.inf), full.knots_t,
@@ -321,8 +350,8 @@ class TestInterpQuantile:
                             full.probs[-1:])
         for lookup, x in ((interp_quantile, 0.95), (interp_probability, 1.0)):
             assert lookup(tab, math.inf, x) == lookup(full, math.inf, x)
-            with pytest.raises(TableRangeError, match="^the even table holds "
-                               "only the asymptotic row.*n=10$"):
+            with pytest.raises(TableRangeError, match=r"^too few rows in the "
+                               r"even table \(0\) to synthesize n=10$"):
                 lookup(tab, 10, x)
 
     def test_beyond_table_range(self):
