@@ -13,7 +13,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distribution import _check_int, _check_seed, _validate_levels
+from .distribution import (_check_int, _check_list, _check_seed,
+                           _validate_levels)
 from .errors import DataError
 from .simulation import _QUANTILE_METHOD, _blocks, _pool
 from .statistic import Dataset, qe_values
@@ -82,13 +83,14 @@ class BootstrapReport:
         raise KeyError(label)
 
 
-def _values_of(ps) -> np.ndarray:
-    vals = np.array([float(p) for p in ps])
+def _sorted_values(ps) -> tuple[np.ndarray, np.ndarray]:
+    """The p-values under PValue's rule, sorted, and the sorting order."""
+    vals = np.array(_check_list(ps, "p-values must be a list of numbers",
+                                lambda p: PValue(float(p)).value))
     if vals.size == 0:
         raise DataError("need at least one p-value")
-    if np.any(vals <= 0.0) or np.any(vals > 1.0):
-        raise DataError("p-values must lie in (0, 1]")
-    return vals
+    order = np.argsort(vals, kind="stable")
+    return vals[order], order
 
 
 def holm_adjust(ps):
@@ -97,10 +99,9 @@ def holm_adjust(ps):
     Sorted ascending, the i-th p-value is scaled by (m - i + 1), running
     maxima enforce monotonicity, and results are capped at 1.
     """
-    vals = _values_of(ps)
+    vals, order = _sorted_values(ps)
     m = vals.size
-    order = np.argsort(vals, kind="stable")
-    scaled = np.minimum(1.0, (m - np.arange(m)) * vals[order])
+    scaled = np.minimum(1.0, (m - np.arange(m)) * vals)
     adjusted = np.empty(m)
     adjusted[order] = np.maximum.accumulate(scaled)
     return tuple(adjusted.tolist())
@@ -108,10 +109,9 @@ def holm_adjust(ps):
 
 def bh_adjust(ps):
     """Step-up adjustment controlling the false discovery rate."""
-    vals = _values_of(ps)
+    vals, order = _sorted_values(ps)
     m = vals.size
-    order = np.argsort(vals, kind="stable")
-    scaled = np.minimum(1.0, m * vals[order] / np.arange(1, m + 1))
+    scaled = np.minimum(1.0, m * vals / np.arange(1, m + 1))
     adjusted = np.empty(m)
     adjusted[order] = np.minimum.accumulate(scaled[::-1])[::-1]
     return tuple(adjusted.tolist())

@@ -25,12 +25,15 @@ from .errors import ConvergenceError, MsdError
 from .simulation import (simulate_hetero_guideline, simulate_multi_quantiles,
                          simulate_power, simulate_resistance)
 from .statistic import INSPECT, SCREEN, msd
-from .tables import (_critical_value, _table_file, _table_for, _table_sizes,
-                     build_table, save_table)
+from .tables import (_critical_value, _table_file, _table_for, build_table,
+                     save_table)
 
 TABLES_ENV = "MSD_TABLES_DIR"
 _LEVELS = (0.95, 0.99)
+_Q_HEADS = " ".join(f"{f'q*({lv:g})':>10}" for lv in _LEVELS)
 _NONFINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+_OUT = click.option("--out", type=click.Path(dir_okay=False, readable=False,
+                                             path_type=Path), default=None)
 
 
 class _Root(click.Group):
@@ -170,8 +173,7 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
         click.echo("")
         click.echo(f"bootstrap: B={report.replicates} seed={report.seed} "
                    f"adjusted by {adjust}")
-        click.echo(f"{'lab':<8} {'q*(0.95)':>10} {'q*(0.99)':>10} "
-                   f"{'p_raw':>10} {'p_' + adjust:>10}")
+        click.echo(f"{'lab':<8} {_Q_HEADS} {'p_raw':>10} {'p_' + adjust:>10}")
         for brow in brows:
             adj = brow.p_holm if adjust == "holm" else brow.p_bh
             click.echo(f"{brow.label:<8} {brow.quantiles[0]:>10.4f} "
@@ -181,7 +183,8 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
 
 @entrypoint.command("bootstrap")
 @click.argument("input_path", type=click.Path(dir_okay=False, path_type=Path))
-@click.option("-B", "--replicates", type=int, default=2000, show_default=True)
+@click.option("-B", "--replicates", type=int,
+              default=BootstrapConfig.replicates, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
               default="text", show_default=True)
@@ -208,7 +211,7 @@ def bootstrap_cmd(input_path, replicates, seed, fmt):
         click.echo(_dump_json(doc))
         return
     click.echo(f"bootstrap: B={report.replicates} seed={report.seed}")
-    click.echo(f"{'lab':<8} {'q_e':>8} {'q*(0.95)':>10} {'q*(0.99)':>10} "
+    click.echo(f"{'lab':<8} {'q_e':>8} {_Q_HEADS} "
                f"{'p_raw':>10} {'p_holm':>10} {'p_bh':>10}")
     for row in report.rows:
         click.echo(f"{row.label:<8} {row.statistic:>8.3f} "
@@ -239,22 +242,14 @@ def tables():
 
 
 @tables.command("generate")
-@click.option("--parity", type=click.Choice(["even", "odd", "both"]),
-              default="both", show_default=True)
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path),
               required=True, help="Directory the table files are written to.")
-@click.option("--max-n", type=click.IntRange(min=3), default=None,
-              help="Cap on the tabulated sizes, for quick partial builds.")
-def tables_generate(parity, out, max_n):
+def tables_generate(out):
     """Rebuild the interpolation tables from the exact distribution."""
-    parities = ("even", "odd") if parity == "both" else (parity,)
-    for par in parities:  # the size cap fails before --out is created
-        _table_sizes(par, max_n)
     out.mkdir(parents=True, exist_ok=True)
-    for par in parities:
-        table = build_table(par, max_n=max_n)
-        path = out / _table_file(par)
-        save_table(table, path)
+    for parity in ("even", "odd"):
+        path = out / _table_file(parity)
+        save_table(build_table(parity), path)
         click.echo(f"wrote {path}")
 
 
@@ -313,8 +308,7 @@ def simulate():
               show_default=True)
 @click.option("--replicates", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, readable=False,
-                                      path_type=Path), default=None)
+@_OUT
 def simulate_table3(n, p, replicates, seed, out):
     """Empirical multiple-observation critical value for one study size."""
     _check_out(out)
@@ -339,8 +333,7 @@ def _grid_study(kind, runner, grid, grid_help, doc):
     @click.option("--critical", type=float, default=None,
                   help="Detection threshold (default: the 95% critical value, "
                        "exact for msd, self-calibrated for pwch).")
-    @click.option("--out", type=click.Path(dir_okay=False, readable=False,
-                                          path_type=Path), default=None)
+    @_OUT
     def command(grid, statistic, n, replicates, seed, critical, out):
         _check_out(out)
         curve = runner(statistic, n, grid, replicates, seed, critical)
@@ -367,8 +360,7 @@ _grid_study("resistance", simulate_resistance, "-8:8:1",
               show_default=True)
 @click.option("--replicates", type=int, default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, readable=False,
-                                      path_type=Path), default=None)
+@_OUT
 def simulate_hetero(sizes, replicates, seed, out):
     """Rule-of-thumb exceedance rates under chi-squared(3) variances."""
     _check_out(out)

@@ -14,7 +14,7 @@ from .statistic import Dataset, Observation
 _HEADER = ("lab", "value", "u")
 
 
-def _parse_study(lines, origin: str) -> Dataset:
+def _parse_study(lines, origin: str) -> tuple[Observation, ...]:
     observations: dict[str, Observation] = {}
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
@@ -51,10 +51,7 @@ def _parse_study(lines, origin: str) -> Dataset:
             raise DataError(f"{origin}:{lineno}: {exc}") from None
     if not header_seen:
         raise DataError(f"{origin}: missing 'lab,value,u' header")
-    try:
-        return Dataset(tuple(observations.values()))
-    except DataError as exc:
-        raise DataError(f"{origin}: {exc}") from None
+    return tuple(observations.values())
 
 
 def load_study(path) -> Dataset:
@@ -66,14 +63,22 @@ def load_study(path) -> Dataset:
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read study file {path}: {exc}") from exc
-    return _parse_study(text.splitlines(), origin=path.name)
+    observations = _parse_study(text.splitlines(), origin=path.name)
+    try:
+        return Dataset(observations)
+    except DataError as exc:
+        raise DataError(f"{path.name}: {exc}") from None
 
 
 def save_study(ds: Dataset, path) -> None:
-    """Write a dataset in the study-file format; re-parsing it is lossless."""
+    """Write a dataset in the study-file format once each row parses back
+    unchanged; else raise DataError naming its label and write nothing."""
     lines = ["lab,value,u"]
-    lines += [f"{o.label},{o.value!r},{o.uncertainty!r}"
-              for o in ds.observations]
+    for o in ds.observations:
+        lines.append(f"{o.label},{float(o.value)!r},{float(o.uncertainty)!r}")
+        if _parse_study([lines[0], *lines[-1].splitlines()],
+                        f"label {o.label!r}") != (o,):
+            raise DataError(f"label {o.label!r} would not read back unchanged")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

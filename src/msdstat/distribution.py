@@ -102,12 +102,20 @@ def _validate_p(p) -> float:
     return p
 
 
+def _check_list(values, what: str, member) -> tuple:
+    """The one list rule: a non-string iterable that ``member`` converts."""
+    if isinstance(values, str) or not np.iterable(values):
+        raise DataError(f"{what}, got {values!r}")
+    try:
+        return tuple(member(v) for v in values)
+    except (TypeError, ValueError):
+        raise DataError(f"{what}, got {values!r}") from None
+
+
 def _validate_levels(ps) -> tuple[float, ...]:
     """A list of quantile levels: each one a probability, at least one."""
-    if isinstance(ps, str) or not np.iterable(ps):
-        raise DataError(
-            f"quantile levels must be a list of probabilities, got {ps!r}")
-    levels = tuple(_validate_p(p) for p in ps)
+    levels = _check_list(ps, "quantile levels must be a list of probabilities",
+                         _validate_p)
     if not levels:
         raise DataError("need at least one quantile level")
     return levels

@@ -11,11 +11,13 @@ be recomputed in isolation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import _check_int, _check_n, _check_seed, _validate_levels
+from .distribution import (_check_int, _check_list, _check_n, _check_seed,
+                           _validate_levels)
 from .errors import DataError
 from .statistic import (INSPECT, SCREEN, _mean_square, _median_abs, _sliced,
                         pwch_values, qe_values)
@@ -138,9 +140,10 @@ def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
             f"statistic must be one of {sorted(_STATISTICS)}, got {statistic!r}")
     kernel = _STATISTICS[statistic]
     n = _check_n(n)
-    if not (critical is None or math.isfinite(critical) and critical > 0):
-        raise DataError(f"critical value must be positive, got {critical}")
-    grid = np.asarray(list(grid), dtype=float)
+    if not (critical is None or isinstance(critical, numbers.Real)
+            and math.isfinite(critical) and critical > 0):
+        raise DataError(f"critical value must be positive, got {critical!r}")
+    grid = np.array(_check_list(grid, "grid must be a list of numbers", float))
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise DataError("displacement grid must be non-empty and finite")
     streams = [_blocks(seed, replicates, (j,)) for j in range(grid.size)]
@@ -196,8 +199,8 @@ def simulate_hetero_guideline(sizes, replicates: int, seed: int) -> HeteroStudy:
     statistic exceeds INSPECT, and how often a dataset contains any value
     above SCREEN.
     """
-    sizes = tuple(_check_int("size", n, "an integer in 5..25", 5, 26)
-                  for n in sizes)
+    sizes = _check_list(sizes, "sizes must be a list of integers", lambda n:
+                        _check_int("size", n, "an integer in 5..25", 5, 26))
     if not sizes:
         raise DataError("need at least one dataset size")
     value_hits = np.zeros(len(sizes), dtype=np.int64)

@@ -1,4 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
+from click.testing import CliRunner
+
+from msdstat.cli import entrypoint
+from msdstat.tables import _table_file, load_table
 
 
 def pytest_addoption(parser):
@@ -14,3 +20,17 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="session")
+def generated_tables(tmp_path_factory):
+    """``msd tables generate --out DIR``, the one full build of a test run:
+    the command's result, DIR, and both tables loaded from DIR."""
+    out = tmp_path_factory.mktemp("generated") / "tables"
+    result = CliRunner().invoke(entrypoint, ["tables", "generate", "--out",
+                                             str(out)], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return SimpleNamespace(
+        result=result, out=out,
+        tables={parity: load_table(out / _table_file(parity))
+                for parity in ("even", "odd")})

@@ -115,6 +115,19 @@ class TestAdjusters:
             with pytest.raises(DataError):
                 adjust((0.5, 1.5))
 
+    @pytest.mark.parametrize("ps, message", [
+        ([float("nan"), 0.5], "p-value must lie in (0, 1], got nan"),
+        (0.5, "p-values must be a list of numbers, got 0.5"),
+        ("0.5", "p-values must be a list of numbers, got '0.5'"),
+        (["x", 0.5], "p-values must be a list of numbers, got ['x', 0.5]"),
+    ])
+    def test_p_values_follow_the_pvalue_rule(self, ps, message):
+        # the rule of PValue, and the list shape rule of quantile levels
+        for adjust in (holm_adjust, bh_adjust):
+            with pytest.raises(DataError) as err:
+                adjust(ps)
+            assert str(err.value) == message
+
 
 class TestWorkedExample:
     def test_zero_count_labs(self, report):

@@ -3,20 +3,23 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import msdstat
-from msdstat import DataError
+from msdstat import DataError, Dataset, Observation
 from msdstat.cli import TABLES_ENV, _check_out, entrypoint
 from msdstat.datasets import conductivity_study, load_study, save_study
 from msdstat.errors import ConvergenceError
-from msdstat.tables import QuantileTable, default_table, save_table
+from msdstat.tables import (QuantileTable, _table_file, build_table,
+                            default_table, save_table)
 
 
 @pytest.fixture()
@@ -41,6 +44,23 @@ class TestStudyFiles:
         path = tmp_path / "s.csv"
         save_study(ds, path)
         assert load_study(path) == ds
+        # numpy scalars are written as the floats they equal
+        ds = Dataset(tuple(Observation(o.label, np.float64(o.value),
+                                       np.float32(o.uncertainty))
+                           for o in ds.observations))
+        save_study(ds, path)
+        assert load_study(path) == ds
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "", " a", "#x"])
+    def test_save_refuses_a_label_that_would_not_read_back(self, tmp_path,
+                                                            label):
+        # the first label that would not come back is named; " z" is later
+        ds = Dataset.from_arrays(["A", label, " z"], [1.0, 2.0, 3.0],
+                                 [0.5] * 3)
+        path = tmp_path / "s.csv"
+        with pytest.raises(DataError, match=re.escape(f"label {label!r}")):
+            save_study(ds, path)
+        assert not path.exists()
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -188,8 +208,8 @@ class TestAnalyze:
 
     def test_partial_tables_exit_3(self, runner, tmp_path):
         tdir = tmp_path / "tables"
-        invoke(runner, ["tables", "generate", "--parity", "even", "--max-n",
-                        "4", "--out", str(tdir)])
+        tdir.mkdir()
+        save_table(build_table("even", max_n=4), tdir / _table_file("even"))
         path = tmp_path / "eight.csv"
         path.write_text("lab,value,u\n" + "".join(
             f"L{i},{0.1 * i},1.0\n" for i in range(8)))
@@ -235,9 +255,8 @@ class TestAnalyze:
     def test_table_routing_via_flag_and_env(self, runner, study_path,
                                             tmp_path):
         tdir = tmp_path / "tables"
-        gen = invoke(runner, ["tables", "generate", "--out", str(tdir),
-                              "--max-n", "16"])
-        assert gen.exit_code == 0
+        tdir.mkdir()
+        save_table(build_table("odd", max_n=16), tdir / _table_file("odd"))
         flagged = invoke(runner, ["analyze", str(study_path), "--tables",
                                   str(tdir), "--format", "structured"])
         doc = json.loads(flagged.output)
@@ -273,9 +292,9 @@ class TestAnalyze:
     def test_malformed_table_exits_3_naming_line(self, runner, study_path,
                                                  tmp_path):
         tdir = tmp_path / "tables"
-        invoke(runner, ["tables", "generate", "--parity", "odd", "--max-n",
-                        "5", "--out", str(tdir)])
-        path = tdir / "msd_table_odd.csv"
+        tdir.mkdir()
+        path = tdir / _table_file("odd")
+        save_table(build_table("odd", max_n=5), path)
         lines = path.read_text().splitlines()
         row = next(i for i, line in enumerate(lines) if line.startswith("5,"))
         lines[row] = "five" + lines[row][1:]
@@ -317,32 +336,37 @@ class TestQuantileCmd:
 
 
 class TestTablesGenerate:
-    def test_generate_reload_and_reproduce(self, runner, tmp_path):
-        out = tmp_path / "t1"
-        result = invoke(runner, ["tables", "generate", "--parity", "even",
-                                 "--out", str(out), "--max-n", "12"])
-        assert result.exit_code == 0
-        path = out / "msd_table_even.csv"
-        assert path.exists()
+    # the full build, byte-compared with the bundled files in test_tables.py
+    def test_writes_both_tables(self, generated_tables):
+        out = generated_tables.out
+        assert generated_tables.result.output == "".join(
+            f"wrote {out / _table_file(parity)}\n" for parity in ("even", "odd"))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "msd_table_even.csv", "msd_table_odd.csv"]
+
+    def test_generated_tables_serve_lookups(self, runner, generated_tables):
         check = invoke(runner, ["quantile", "--n", "10", "--p", "0.95",
                                 "--mode", "single", "--method", "table"],
-                       env={"MSD_TABLES_DIR": str(out)})
+                       env={"MSD_TABLES_DIR": str(generated_tables.out)})
         assert abs(float(check.output) - 1.497) < 0.002
-        again = tmp_path / "t2"
-        invoke(runner, ["tables", "generate", "--parity", "even", "--out",
-                        str(again), "--max-n", "12"])
-        assert (again / "msd_table_even.csv").read_bytes() == \
-            path.read_bytes()
 
-    def test_both_parities(self, runner, tmp_path):
+    @pytest.mark.parametrize("option", [["--parity", "even"],
+                                        ["--max-n", "8"]],
+                             ids=["--parity", "--max-n"])
+    def test_removed_options_are_usage_errors(self, runner, tmp_path,
+                                              option):
         out = tmp_path / "t"
-        result = invoke(runner, ["tables", "generate", "--out", str(out),
-                                 "--max-n", "12"])
-        assert result.exit_code == 0
-        assert (out / "msd_table_even.csv").exists()
-        assert (out / "msd_table_odd.csv").exists()
+        result = runner.invoke(entrypoint, ["tables", "generate", "--out",
+                                            str(out), *option])
+        assert result.exit_code == 2
+        assert f"No such option '{option[0]}'" in result.stderr
+        assert not out.exists()
 
-    def test_unwritable_target_exits_3(self, runner, tmp_path):
+    def test_unwritable_target_exits_3(self, runner, tmp_path, monkeypatch):
+        def build(parity):
+            raise RuntimeError("the build started")
+
+        monkeypatch.setattr("msdstat.cli.build_table", build)
         blocker = tmp_path / "file"
         blocker.write_text("x")
         result = runner.invoke(entrypoint, ["tables", "generate", "--out",
@@ -500,22 +524,6 @@ class TestChecksBeforeWork:
         args = [a.format(study=study_path) for a in args]
         result = runner.invoke(entrypoint, args)
         assert (result.exit_code, result.output) == (3, f"error: {message}\n")
-
-    def test_tables_generate_checks_before_creating_out(self, runner,
-                                                        tmp_path):
-        out = tmp_path / "capped"
-        result = runner.invoke(entrypoint, ["tables", "generate", "--parity",
-                                            "even", "--max-n", "3", "--out",
-                                            str(out)])
-        assert (result.exit_code, result.output) == (
-            3, "error: max_n=3 leaves no table rows\n")
-        assert not out.exists()
-        # an unwritable --out still fails before the build
-        blocker = tmp_path / "file"
-        blocker.write_text("x")
-        result = runner.invoke(entrypoint, ["tables", "generate", "--out",
-                                            str(blocker / "sub")])
-        assert result.exit_code == 3
 
 
 class TestSimulateOutBeforeWork:

@@ -65,7 +65,6 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
     ["simulate", "resistance", "--n", "5", "--grid", "-2:2:2",
      "--replicates", "200"],
     ["simulate", "hetero", "--sizes", "5,9", "--replicates", "300"],
-    ["tables", "generate", "--max-n", "8", "--out", "{tmp}/tables"],
     # exit 2: usage errors
     ["frobnicate"],
     ["quantile", "--n", "2", "--p", "0.95"],
@@ -74,6 +73,7 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
     ["simulate", "power", "--grid", "1:0:1"],
     ["simulate", "hetero", "--sizes", "5,x"],
     ["tables", "generate", "--out", "{odd}"],
+    ["tables", "generate", "--max-n", "8", "--out", "{tmp}/tables"],
     # exit 3: input and validation errors
     ["analyze", "{tmp}/missing.csv"],
     ["analyze", "{odd}", "--bootstrap", "50"],
@@ -88,8 +88,6 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
     ["simulate", "power", "--grid", "0:2:1", "--replicates", "500",
      "--out", "{odd}/power.csv"],
     ["tables", "generate", "--out", "{odd}/tables"],
-    ["tables", "generate", "--parity", "even", "--max-n", "3",
-     "--out", "{tmp}/capped"],
 ]
 
 # full-precision quadrature numbers: the structured critical values and

@@ -102,6 +102,26 @@ class TestConfig:
             with pytest.raises(DataError):
                 simulate_power("msd", 10, (0.0,), 100, seed=0, critical=crit)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: simulate_hetero_guideline(5, 1000, 0),
+         "sizes must be a list of integers, got 5"),
+        (lambda: simulate_hetero_guideline("5", 1000, 0),
+         "sizes must be a list of integers, got '5'"),
+        (lambda: simulate_power("msd", 10, 1.0, 100, 0, 2.0),
+         "grid must be a list of numbers, got 1.0"),
+        (lambda: simulate_resistance("msd", 10, ["a"], 100, 0, 2.0),
+         "grid must be a list of numbers, got ['a']"),
+        (lambda: simulate_power("msd", 10, (0.0,), 100, 0, "2"),
+         "critical value must be positive, got '2'"),
+        (lambda: simulate_multi_quantiles(10, ["x"], 1000, 0),
+         "quantile levels must be a list of probabilities, got ['x']"),
+    ], ids=["bare size", "size string", "bare grid value", "text grid",
+            "text critical", "text level"])
+    def test_list_and_number_arguments_raise_data_error(self, call, message):
+        with pytest.raises(DataError) as err:
+            call()
+        assert str(err.value) == message
+
     def test_default_critical_waits_for_every_check(self, monkeypatch):
         # both default thresholds raise if computed, so each bad argument
         # must be rejected before either one starts

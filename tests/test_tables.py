@@ -38,12 +38,6 @@ import reference_tables as ref
 SUPPORT_Q = 0.674 / math.sqrt(2.0)
 
 
-@pytest.fixture(scope="module")
-def fresh_build():
-    """Both tables built from quadrature, once for the module's tests."""
-    return {parity: build_table(parity) for parity in ("even", "odd")}
-
-
 class TestGrids:
     def test_knot_grid_shape(self):
         t = knot_grid()
@@ -81,7 +75,7 @@ class TestBuild:
     def test_parity_validation(self):
         with pytest.raises(DomainError):
             build_table("both")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="max_n=3 leaves no table rows"):
             build_table("even", max_n=3)
 
     def test_quadrature_failure_names_n_and_q(self, monkeypatch):
@@ -109,10 +103,10 @@ class TestBuild:
             assert np.array_equal(odd.probs[odd.sizes.index(n)],
                                   tables._build_row(n + 1, knot_grid())), n
 
-    def test_shipped_tables_match_fresh_build(self, fresh_build):
+    def test_shipped_tables_match_fresh_build(self, generated_tables):
         for parity in ("even", "odd"):
             shipped = default_table(parity)
-            fresh = fresh_build[parity]
+            fresh = generated_tables.tables[parity]
             assert shipped.sizes == fresh.sizes
             assert np.array_equal(shipped.knots_t, fresh.knots_t)
             assert np.array_equal(shipped.probs, fresh.probs)
@@ -407,13 +401,13 @@ class TestMultiQuantileAdjusted:
             multi_quantile_adjusted(math.inf, 0.95)
 
 
-def test_full_rebuild_matches_bundled_files(tmp_path, fresh_build):
-    # regeneration from scratch must be byte-stable against the shipped files
+def test_full_rebuild_matches_bundled_files(generated_tables):
+    # `msd tables generate` from scratch must be byte-stable against the
+    # shipped files
     from importlib import resources
 
     for parity in ("even", "odd"):
-        path = tmp_path / f"msd_table_{parity}.csv"
-        save_table(fresh_build[parity], path)
+        path = generated_tables.out / f"msd_table_{parity}.csv"
         bundled = resources.files("msdstat").joinpath(
             f"data/msd_table_{parity}.csv")
         assert path.read_bytes() == bundled.read_bytes(), parity
