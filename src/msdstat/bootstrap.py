@@ -13,8 +13,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distribution import (_check_int, _check_list, _check_seed,
-                           _validate_levels)
+from .distribution import (_check_int, _check_list, _check_real,
+                           _check_seed, _validate_levels)
 from .errors import DataError
 from .simulation import _QUANTILE_METHOD, _blocks, _pool
 from .statistic import Dataset, qe_values
@@ -46,8 +46,8 @@ class PValue:
     is_upper_bound: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.value <= 1.0:
-            raise DataError(f"p-value must lie in (0, 1], got {self.value!r}")
+        object.__setattr__(self, "value", _check_real(
+            "p-value", self.value, "lie in (0, 1]", lambda p: 0.0 < p <= 1.0))
 
     def __str__(self) -> str:
         text = f"{self.value:.6g}"
@@ -86,7 +86,7 @@ class BootstrapReport:
 def _sorted_values(ps) -> tuple[np.ndarray, np.ndarray]:
     """The p-values under PValue's rule, sorted, and the sorting order."""
     vals = np.array(_check_list(ps, "p-values must be a list of numbers",
-                                lambda p: PValue(float(p)).value))
+                                lambda p: PValue(p).value))
     if vals.size == 0:
         raise DataError("need at least one p-value")
     order = np.argsort(vals, kind="stable")

@@ -1,13 +1,14 @@
 """Command-line surface for the pairwise median scaled difference toolkit.
 
 Exit codes: 0 success, 2 usage errors, 3 input/validation problems
-(including unreadable or unwritable paths), 4 numeric failures. The root
-group maps library errors onto these codes for every command, the
-``tables`` and ``simulate`` subcommands included.
+(including unreadable paths and an unwritable ``tables generate --out``
+directory), 4 numeric failures. The root group maps library errors onto
+these codes for every command, the ``tables`` and ``simulate``
+subcommands included. The ``simulate`` commands print their delimited
+text on stdout only; a shell redirection saves it.
 """
 from __future__ import annotations
 
-import errno
 import json
 import math
 import os
@@ -32,8 +33,6 @@ TABLES_ENV = "MSD_TABLES_DIR"
 _LEVELS = (0.95, 0.99)
 _Q_HEADS = " ".join(f"{f'q*({lv:g})':>10}" for lv in _LEVELS)
 _NONFINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
-_OUT = click.option("--out", type=click.Path(dir_okay=False, readable=False,
-                                             path_type=Path), default=None)
 
 
 class _Root(click.Group):
@@ -270,35 +269,13 @@ def _parse_sizes(ctx, param, value):
         raise click.BadParameter("expected a comma-separated list of sizes")
 
 
-def _check_out(out: Path | None) -> None:
-    """Raise the OSError that writing ``out`` would, before a study runs
-    for nothing; ``out`` is neither created nor truncated."""
-    if out is None:
-        return
-    path = os.fspath(out)
-    try:
-        os.stat(path)  # raises the write's own error for a file above path
-        where = path
-    except FileNotFoundError:
-        where = os.path.dirname(path) or os.curdir
-        if not os.path.isdir(where):
-            raise
-    if not os.access(where, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-
-
-def _emit(lines, out: Path | None):
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        out.write_text(text)
-        click.echo(f"wrote {out}")
-
-
 @entrypoint.group()
 def simulate():
-    """Seeded Monte Carlo studies; output is plot-ready delimited text."""
+    """Seeded Monte Carlo studies; output is plot-ready delimited text.
+
+    Each command prints its text on stdout; a shell redirection saves it,
+    as in: msd simulate power > power.csv
+    """
 
 
 @simulate.command("table3")
@@ -308,16 +285,14 @@ def simulate():
               show_default=True)
 @click.option("--replicates", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_OUT
-def simulate_table3(n, p, replicates, seed, out):
+def simulate_table3(n, p, replicates, seed):
     """Empirical multiple-observation critical value for one study size."""
-    _check_out(out)
     (est,) = simulate_multi_quantiles(n, (p,), replicates, seed)
-    _emit([
+    click.echo("\n".join([
         f"# multiple-observation quantile; replicates={replicates} seed={seed}",
         "n,p,estimate,std_error",
         f"{n},{p:g},{est.value!r},{est.std_error!r}",
-    ], out)
+    ]))
 
 
 def _grid_study(kind, runner, grid, grid_help, doc):
@@ -333,9 +308,7 @@ def _grid_study(kind, runner, grid, grid_help, doc):
     @click.option("--critical", type=float, default=None,
                   help="Detection threshold (default: the 95% critical value, "
                        "exact for msd, self-calibrated for pwch).")
-    @_OUT
-    def command(grid, statistic, n, replicates, seed, critical, out):
-        _check_out(out)
+    def command(grid, statistic, n, replicates, seed, critical):
         curve = runner(statistic, n, grid, replicates, seed, critical)
         lines = [
             f"# {kind}; statistic={statistic} n={n} replicates={replicates} "
@@ -344,7 +317,7 @@ def _grid_study(kind, runner, grid, grid_help, doc):
         ]
         lines += [f"{d:g},{float(p)!r},{float(s)!r}" for d, p, s in
                   zip(curve.grid, curve.proportion, curve.std_error)]
-        _emit(lines, out)
+        click.echo("\n".join(lines))
 
 
 _grid_study("power", simulate_power, "0:5:0.25",
@@ -360,10 +333,8 @@ _grid_study("resistance", simulate_resistance, "-8:8:1",
               show_default=True)
 @click.option("--replicates", type=int, default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_OUT
-def simulate_hetero(sizes, replicates, seed, out):
+def simulate_hetero(sizes, replicates, seed):
     """Rule-of-thumb exceedance rates under chi-squared(3) variances."""
-    _check_out(out)
     study = simulate_hetero_guideline(sizes, replicates, seed)
     lines = [
         f"# guideline exceedance rates; replicates={replicates} seed={seed}",
@@ -374,4 +345,4 @@ def simulate_hetero(sizes, replicates, seed, out):
         for n, vr, vs, dr, ds in zip(study.sizes, study.value_rate,
                                      study.value_se, study.dataset_rate,
                                      study.dataset_se)]
-    _emit(lines, out)
+    click.echo("\n".join(lines))

@@ -21,6 +21,7 @@ probability.
 from __future__ import annotations
 
 import math
+import numbers
 from statistics import NormalDist
 
 import numpy as np
@@ -57,6 +58,27 @@ def _check_int(name: str, value, rule: str, lo: int, hi: float = math.inf,
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """The one real-number type rule: a numbers.Real that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_real(name: str, value, rule: str, ok,
+                error: type = DataError) -> float:
+    """The one real-number check: ``value`` under ``_is_real``, converted
+    with float, for which ``ok`` holds; returned as that float. A failure
+    raises ``error``: DomainError for p and q, DataError for a grid value,
+    a critical value or a p-value."""
+    try:
+        x = float(value) if _is_real(value) else None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf if value > 0 else -math.inf
+    if x is None or not ok(x):
+        shown = value if x is None else x
+        raise error(f"{name} must {rule}, got {shown!r}")
+    return x
+
+
 def _check_n(n) -> int:
     """The one check of a dataset size: an integer of at least 3."""
     return _check_int("n", n, "an integer >= 3", 3, error=DomainError)
@@ -89,27 +111,23 @@ def _norm_pdf(z):
 
 
 def _validate_q(q) -> float:
-    q = float(q)
-    if not math.isfinite(q) or q < 0:
-        raise DomainError(f"quantile argument must be finite and >= 0, got {q}")
-    return q
+    return _check_real("quantile argument", q, "be finite and >= 0",
+                       lambda x: math.isfinite(x) and x >= 0, DomainError)
 
 
 def _validate_p(p) -> float:
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie strictly inside (0, 1), got {p}")
-    return p
+    return _check_real("probability", p, "lie strictly inside (0, 1)",
+                       lambda x: 0.0 < x < 1.0, DomainError)
 
 
 def _check_list(values, what: str, member) -> tuple:
-    """The one list rule: a non-string iterable that ``member`` converts."""
-    if isinstance(values, str) or not np.iterable(values):
+    """The one list rule: a non-string iterable of values under
+    ``_is_real``, each of which ``member`` checks and converts."""
+    items = (None if isinstance(values, str) or not np.iterable(values)
+             else tuple(values))
+    if items is None or not all(map(_is_real, items)):
         raise DataError(f"{what}, got {values!r}")
-    try:
-        return tuple(member(v) for v in values)
-    except (TypeError, ValueError):
-        raise DataError(f"{what}, got {values!r}") from None
+    return tuple(map(member, items))
 
 
 def _validate_levels(ps) -> tuple[float, ...]:

@@ -11,13 +11,12 @@ be recomputed in isolation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (_check_int, _check_list, _check_n, _check_seed,
-                           _validate_levels)
+from .distribution import (_check_int, _check_list, _check_n, _check_real,
+                           _check_seed, _validate_levels)
 from .errors import DataError
 from .statistic import (INSPECT, SCREEN, _mean_square, _median_abs, _sliced,
                         pwch_values, qe_values)
@@ -140,12 +139,14 @@ def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
             f"statistic must be one of {sorted(_STATISTICS)}, got {statistic!r}")
     kernel = _STATISTICS[statistic]
     n = _check_n(n)
-    if not (critical is None or isinstance(critical, numbers.Real)
-            and math.isfinite(critical) and critical > 0):
-        raise DataError(f"critical value must be positive, got {critical!r}")
-    grid = np.array(_check_list(grid, "grid must be a list of numbers", float))
-    if grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise DataError("displacement grid must be non-empty and finite")
+    if critical is not None:
+        critical = _check_real("critical value", critical, "be positive",
+                               lambda c: math.isfinite(c) and c > 0)
+    grid = np.array(_check_list(
+        grid, "grid must be a list of numbers",
+        lambda d: _check_real("grid value", d, "be finite", math.isfinite)))
+    if grid.size == 0:
+        raise DataError("displacement grid must be non-empty")
     streams = [_blocks(seed, replicates, (j,)) for j in range(grid.size)]
     # every argument is checked; only now may the default threshold cost time
     if critical is None:

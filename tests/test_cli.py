@@ -1,5 +1,4 @@
 """Command-line surface: parsing, exit codes, routing, and reproducibility."""
-import errno
 import json
 import math
 import os
@@ -15,7 +14,7 @@ from click.testing import CliRunner
 
 import msdstat
 from msdstat import DataError, Dataset, Observation
-from msdstat.cli import TABLES_ENV, _check_out, entrypoint
+from msdstat.cli import TABLES_ENV, entrypoint
 from msdstat.datasets import conductivity_study, load_study, save_study
 from msdstat.errors import ConvergenceError
 from msdstat.tables import (QuantileTable, _table_file, build_table,
@@ -350,14 +349,21 @@ class TestTablesGenerate:
                        env={"MSD_TABLES_DIR": str(generated_tables.out)})
         assert abs(float(check.output) - 1.497) < 0.002
 
-    @pytest.mark.parametrize("option", [["--parity", "even"],
-                                        ["--max-n", "8"]],
-                             ids=["--parity", "--max-n"])
+    @pytest.mark.parametrize("command, option", [
+        (["tables", "generate", "--out", "{out}"], ["--parity", "even"]),
+        (["tables", "generate", "--out", "{out}"], ["--max-n", "8"]),
+        (["simulate", "table3", "--n", "7"], ["--out", "{out}"]),
+        (["simulate", "power"], ["--out", "{out}"]),
+        (["simulate", "resistance"], ["--out", "{out}"]),
+        (["simulate", "hetero"], ["--out", "{out}"]),
+    ], ids=["--parity", "--max-n", "simulate table3 --out",
+            "simulate power --out", "simulate resistance --out",
+            "simulate hetero --out"])
     def test_removed_options_are_usage_errors(self, runner, tmp_path,
-                                              option):
+                                              command, option):
         out = tmp_path / "t"
-        result = runner.invoke(entrypoint, ["tables", "generate", "--out",
-                                            str(out), *option])
+        result = runner.invoke(entrypoint, [a.format(out=out)
+                                            for a in command + option])
         assert result.exit_code == 2
         assert f"No such option '{option[0]}'" in result.stderr
         assert not out.exists()
@@ -375,21 +381,20 @@ class TestTablesGenerate:
 
 
 class TestSimulateCmds:
-    def test_table3_value_and_reproducibility(self, runner, tmp_path):
+    def test_table3_value_and_reproducibility(self, runner):
         args = ["simulate", "table3", "--n", "10", "--p", "0.95",
                 "--replicates", "100000", "--seed", "2"]
-        first = invoke(runner, args + ["--out", str(tmp_path / "a.csv")])
+        first = invoke(runner, args)
         assert first.exit_code == 0
-        text = (tmp_path / "a.csv").read_text()
+        text = first.stdout
         estimate = float(text.splitlines()[-1].split(",")[2])
         assert abs(estimate - 2.135) < 0.02
-        invoke(runner, args + ["--out", str(tmp_path / "b.csv")])
-        assert (tmp_path / "b.csv").read_text() == text
+        assert invoke(runner, args).stdout == text
         other = invoke(runner, ["simulate", "table3", "--n", "10", "--p",
                                 "0.95", "--replicates", "100000", "--seed",
-                                "7", "--out", str(tmp_path / "c.csv")])
+                                "7"])
         assert other.exit_code == 0
-        assert (tmp_path / "c.csv").read_text() != text
+        assert other.stdout != text
 
     def test_power_null_point_matches_level(self, runner):
         result = invoke(runner, ["simulate", "power", "--n", "10", "--grid",
@@ -414,13 +419,11 @@ class TestSimulateCmds:
         rate = float(result.output.splitlines()[-1].split(",")[1])
         assert 0.02 < rate < 0.08
 
-    def test_hetero_output(self, runner, tmp_path):
-        out = tmp_path / "h.csv"
+    def test_hetero_output(self, runner):
         result = invoke(runner, ["simulate", "hetero", "--sizes", "5,15",
-                                 "--replicates", "2000", "--seed", "9",
-                                 "--out", str(out)])
+                                 "--replicates", "2000", "--seed", "9"])
         assert result.exit_code == 0
-        lines = out.read_text().splitlines()
+        lines = result.stdout.splitlines()
         assert lines[1] == "n,value_rate,value_se,dataset_rate,dataset_se"
         for line in lines[2:]:
             rate = float(line.split(",")[1])
@@ -477,24 +480,6 @@ class TestSimulateCmds:
                 assert (result.exit_code, result.output) == (
                     3, f"error: {want}\n"), args + extra
 
-    @pytest.mark.parametrize("args", [
-        ["table3", "--n", "7", "--replicates", "1000"],
-        ["power", "--grid", "0:1:1", "--replicates", "100"],
-        ["hetero", "--sizes", "5", "--replicates", "100"]],
-        ids=["table3", "power and resistance", "hetero"])
-    def test_write_only_out_file_is_rewritten(self, runner, tmp_path,
-                                              monkeypatch, args):
-        # --out is only written, so a file the user may not read is fine;
-        # root may read anything, so the denial of reads is patched in
-        monkeypatch.setattr("msdstat.cli.os.access",
-                            lambda path, mode: not mode & os.R_OK)
-        out = tmp_path / "kept.csv"
-        out.write_text("kept\n")
-        result = runner.invoke(entrypoint, ["simulate", *args,
-                                            "--out", str(out)])
-        assert (result.exit_code, result.output) == (0, f"wrote {out}\n")
-        assert out.read_text().startswith("# ")
-
 
 class TestChecksBeforeWork:
     # the pwch calibration, the exact quantile and the table build raise if
@@ -524,92 +509,6 @@ class TestChecksBeforeWork:
         args = [a.format(study=study_path) for a in args]
         result = runner.invoke(entrypoint, args)
         assert (result.exit_code, result.output) == (3, f"error: {message}\n")
-
-
-class TestSimulateOutBeforeWork:
-    # every simulate study draws through simulation._blocks, so a study
-    # that starts raises and the command exits 1
-    STUDIES = [["simulate", "table3", "--n", "7"], ["simulate", "power"],
-               ["simulate", "resistance"], ["simulate", "hetero"]]
-
-    @pytest.fixture(autouse=True)
-    def no_study(self, monkeypatch):
-        def work(*args, **kwargs):
-            raise RuntimeError("the study started")
-
-        monkeypatch.setattr("msdstat.simulation._blocks", work)
-
-    @pytest.mark.parametrize("where", ["missing/out.csv", "file/out.csv"],
-                             ids=["missing directory", "file as directory"])
-    @pytest.mark.parametrize("study", STUDIES, ids=" ".join)
-    def test_unwritable_out_exits_3_with_the_write_error(self, runner,
-                                                         tmp_path, study,
-                                                         where):
-        (tmp_path / "file").write_text("x")
-        out = tmp_path / where
-        with pytest.raises(OSError) as write:
-            out.write_text("")
-        result = runner.invoke(entrypoint, study + ["--out", str(out)])
-        assert (result.exit_code, result.output) == (3,
-                                                     f"error: {write.value}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("study", STUDIES, ids=" ".join)
-    def test_out_untouched_until_the_study_succeeds(self, runner, tmp_path,
-                                                    study):
-        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
-        kept.write_text("kept\n")
-        for out in (kept, new):
-            result = runner.invoke(entrypoint, study + ["--out", str(out)])
-            assert isinstance(result.exception, RuntimeError)
-        assert kept.read_text() == "kept\n" and not new.exists()
-
-    @pytest.mark.parametrize("target", ["locked/new.csv", "locked.csv"],
-                             ids=["read-only directory", "read-only file"])
-    def test_permission_check_matches_the_write(self, tmp_path, target):
-        # the same verdict as the write itself, as any user (root writes both)
-        locked_dir, locked_file = tmp_path / "locked", tmp_path / "locked.csv"
-        locked_dir.mkdir()
-        locked_file.write_text("kept\n")
-        locked_dir.chmod(0o555)
-        locked_file.chmod(0o444)
-        out = tmp_path / target
-        try:
-            try:
-                _check_out(out)
-                checked = None
-            except PermissionError as exc:
-                checked = str(exc)
-            assert locked_file.read_text() == "kept\n"
-            assert not (locked_dir / "new.csv").exists()
-            try:
-                out.write_text("")
-                written = None
-            except PermissionError as exc:
-                written = str(exc)
-        finally:
-            locked_dir.chmod(0o755)
-            locked_file.chmod(0o644)
-        assert checked == written
-
-    @pytest.mark.parametrize("target", ["kept.csv", "new.csv"],
-                             ids=["existing file", "new file"])
-    def test_denied_write_exits_3_before_the_study(self, runner, tmp_path,
-                                                   monkeypatch, target):
-        # root may write anywhere, so the denial of writes is patched in
-        monkeypatch.setattr("msdstat.cli.os.access",
-                            lambda path, mode: not mode & os.W_OK)
-        (tmp_path / "kept.csv").write_text("kept\n")
-        out = tmp_path / target
-        with pytest.raises(PermissionError) as err:
-            _check_out(out)
-        assert (err.value.errno, err.value.filename) == (errno.EACCES,
-                                                         str(out))
-        result = runner.invoke(entrypoint, ["simulate", "table3", "--n", "7",
-                                            "--out", str(out)])
-        assert (result.exit_code, result.output) == (3, f"error: {err.value}\n")
-        assert (tmp_path / "kept.csv").read_text() == "kept\n"
-        assert not (tmp_path / "new.csv").exists()
 
 
 class TestBootstrapCmd:

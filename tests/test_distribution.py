@@ -7,12 +7,15 @@ from scipy import special
 from msdstat import (
     ASYMPTOTIC_LOWER_BOUND,
     ConvergenceError,
+    DataError,
     DomainError,
+    PValue,
     cdf,
     cdf_asymptotic,
     cdf_even,
     cdf_odd,
     conditional_cdf,
+    holm_adjust,
     multi_quantile_adjusted,
     quantile,
 )
@@ -176,6 +179,49 @@ class TestDispatch:
         assert interp_probability(even, math.inf, 1.3) > 0.0
         with pytest.raises(DomainError):
             multi_quantile_adjusted(math.inf, 0.95)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: quantile("0.95", 5), DomainError),
+        (lambda: quantile(True, 5), DomainError),
+        (lambda: quantile(10 ** 400, 5), DomainError),
+        (lambda: cdf("1.0", 6), DomainError),
+        (lambda: cdf_asymptotic(None), DomainError),
+        (lambda: interp_quantile(default_table("even"), 10, "0.95"),
+         DomainError),
+        (lambda: interp_probability(default_table("odd"), 9, "1.0"),
+         DomainError),
+        (lambda: simulate_multi_quantiles(5, ["0.95"], 1000, 0), DataError),
+        (lambda: simulate_power("msd", 10, (True,), 100, 0, 2.0), DataError),
+        (lambda: simulate_power("msd", 10, (10 ** 400,), 100, 0, 2.0),
+         DataError),
+        (lambda: simulate_power("msd", 10, (0.0,), 100, 0, critical="2"),
+         DataError),
+        (lambda: holm_adjust(["0.5", 0.2]), DataError),
+        (lambda: PValue("0.5"), DataError),
+        (lambda: PValue(True), DataError),
+    ], ids=["quantile p text", "quantile p bool", "quantile p huge int",
+            "cdf q text", "asymptotic q None", "table p text", "table q text",
+            "level text", "grid bool", "grid huge int", "critical text",
+            "p-value list text", "PValue text", "PValue bool"])
+    def test_one_rule_for_real_numbers(self, call, error):
+        # a real number is a numbers.Real, not a bool; p and q raise
+        # DomainError, a level list, grid, critical value or p-value
+        # DataError
+        with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: cdf(np.float32(1.5), 6), cdf(1.5, 6)),
+        (lambda: quantile(np.float64(0.95), np.int64(5)), quantile(0.95, 5)),
+        (lambda: PValue(1).value, 1.0),
+        (lambda: holm_adjust(np.array([0.5, 0.25])), (0.5, 0.5)),
+        (lambda: simulate_multi_quantiles(5, (p for p in [0.5]), 1000, 0),
+         simulate_multi_quantiles(5, [0.5], 1000, 0)),
+    ], ids=["float32 q", "numpy p and n", "int p-value", "array p-values",
+            "generator levels"])
+    def test_real_numbers_of_any_type_are_floats(self, call, want):
+        got = call()
+        assert got == want and type(got) is type(want)
 
 
 class TestQuantile:
