@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -29,7 +28,6 @@ from .statistic import INSPECT, SCREEN, msd
 from .tables import (_critical_value, _table_file, _table_for, build_table,
                      save_table)
 
-TABLES_ENV = "MSD_TABLES_DIR"
 _LEVELS = (0.95, 0.99)
 _Q_HEADS = " ".join(f"{f'q*({lv:g})':>10}" for lv in _LEVELS)
 _NONFINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
@@ -57,13 +55,6 @@ def entrypoint():
     against every other observation; critical values come from the exact
     sampling distribution, interpolation tables, or a parametric bootstrap.
     """
-
-
-def _tables_dir(flag_value) -> Path | None:
-    if flag_value is not None:
-        return Path(flag_value)
-    env = os.environ.get(TABLES_ENV)
-    return Path(env) if env else None
 
 
 def _dump_json(doc) -> str:
@@ -99,22 +90,18 @@ def _mark(flag: bool) -> str:
 @click.option("--mode", type=click.Choice(["single", "multiple"]),
               default="multiple", show_default=True,
               help="Quantile family the 95%/99% flags compare against.")
-@click.option("--adjust", type=click.Choice(["holm", "bh"]), default="bh",
-              show_default=True,
-              help="Adjusted p-value column shown in text output.")
 @click.option("--tables", type=click.Path(file_okay=False, path_type=Path),
               default=None,
-              help=f"Interpolation-table directory (default: exact "
-                   f"distribution, or ${TABLES_ENV} when set).")
+              help="Interpolation-table directory (default: exact "
+                   "distribution).")
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
               default="text", show_default=True)
-def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
+def analyze(input_path, bootstrap_b, seed, mode, tables, fmt):
     """Score every observation in a study file and flag anomalies."""
     ds = load_study(input_path)
     cfg = (BootstrapConfig(replicates=bootstrap_b, seed=seed, levels=_LEVELS)
            if bootstrap_b else None)
     parity = _parity(ds.n)
-    tables = _tables_dir(tables)
     table = None if tables is None else _table_for(ds.n, tables)
     crit = tuple(_critical_value(ds.n, p, mode, table) for p in _LEVELS)
     provenance = "exact" if tables is None else str(tables)
@@ -139,14 +126,13 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
     if fmt == "structured":
         doc = {
             "kind": "msd-analysis",
-            "schema_version": 1,
+            "schema_version": 2,
             "n": ds.n,
             "parity": parity,
             "mode": mode,
             "tables": provenance,
             "critical_values": {f"{p:g}": c for p, c in zip(_LEVELS, crit)},
             "thresholds": {"inspect": INSPECT, "screen": SCREEN},
-            "adjust": adjust,
             "seed": seed if report is not None else None,
             "bootstrap_replicates": bootstrap_b or None,
             "results": rows,
@@ -171,13 +157,12 @@ def analyze(input_path, bootstrap_b, seed, mode, adjust, tables, fmt):
     if report is not None:
         click.echo("")
         click.echo(f"bootstrap: B={report.replicates} seed={report.seed} "
-                   f"adjusted by {adjust}")
-        click.echo(f"{'lab':<8} {_Q_HEADS} {'p_raw':>10} {'p_' + adjust:>10}")
+                   "adjusted by bh")
+        click.echo(f"{'lab':<8} {_Q_HEADS} {'p_raw':>10} {'p_bh':>10}")
         for brow in brows:
-            adj = brow.p_holm if adjust == "holm" else brow.p_bh
             click.echo(f"{brow.label:<8} {brow.quantiles[0]:>10.4f} "
                        f"{brow.quantiles[1]:>10.4f} {str(brow.p_raw):>10} "
-                       f"{str(adj):>10}")
+                       f"{str(brow.p_bh):>10}")
 
 
 @entrypoint.command("bootstrap")
@@ -231,7 +216,7 @@ def bootstrap_cmd(input_path, replicates, seed, fmt):
               default="exact", show_default=True)
 def quantile_cmd(n, p, mode, method):
     """Print a critical value of the statistic under exchangeable data."""
-    table = _table_for(n, _tables_dir(None)) if method == "table" else None
+    table = _table_for(n, None) if method == "table" else None
     click.echo(f"{_critical_value(n, p, mode, table):.6g}")
 
 

@@ -84,14 +84,21 @@ class QuantileTable:
             raise DataError("sizes must ascend and end with the asymptotic row")
         if self.probs.shape != (len(self.sizes), len(self.knots_t)):
             raise DataError("probability matrix shape does not match grids")
-        if not np.all(np.isfinite(self.probs)):
-            raise DataError("probabilities must be finite")
-        if np.any(self.probs < 0.0) or np.any(self.probs > 1.0):
-            raise DataError("probabilities must lie in [0, 1]")
-        if np.any(np.diff(self.probs, axis=1) < 0.0):
-            raise DataError("each row must be non-decreasing along q")
-        if np.any(self.probs[:, -1] != 1.0):
-            raise DataError("final column must be exactly 1")
+        _check_rows(self.probs)
+
+
+def _check_rows(probs: np.ndarray) -> None:
+    """The rule for table rows, one row or a matrix of them along the last
+    axis: finite probabilities in [0, 1], non-decreasing along q, ending
+    at exactly 1."""
+    if not np.all(np.isfinite(probs)):
+        raise DataError("probabilities must be finite")
+    if np.any(probs < 0.0) or np.any(probs > 1.0):
+        raise DataError("probabilities must lie in [0, 1]")
+    if np.any(np.diff(probs) < 0.0):
+        raise DataError("each row must be non-decreasing along q")
+    if np.any(probs[..., -1] != 1.0):
+        raise DataError("final column must be exactly 1")
 
 
 def _tangents(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -239,6 +246,8 @@ def load_table(path) -> QuantileTable:
             raise DataError(f"{origin}:{lineno}: {vals.size} values where "
                             f"earlier lines have {width}")
         if head == "knots":
+            if knots is not None:
+                raise DataError(f"{origin}:{lineno}: a second knots line")
             knots = vals
             continue
         try:
@@ -248,6 +257,10 @@ def load_table(path) -> QuantileTable:
         except (ValueError, OverflowError):
             raise DataError(f"{origin}:{lineno}: size {head!r} is not an "
                             "integer >= 3 or 'inf'") from None
+        try:
+            _check_rows(vals)
+        except DataError as exc:
+            raise DataError(f"{origin}:{lineno}: {exc}") from None
         sizes.append(size)
         rows.append(vals)
     if parity is None or knots is None or not rows:

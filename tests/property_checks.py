@@ -9,8 +9,8 @@ import math
 import numpy as np
 from scipy import special
 
-from msdstat.statistic import pwch_values, qe_values
-from msdstat import cdf, cdf_even, conditional_cdf, quantile
+from msdstat.statistic import qe_values
+from msdstat import cdf, conditional_cdf, quantile
 
 
 def pair_matrix(x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -14,11 +14,11 @@ from click.testing import CliRunner
 
 import msdstat
 from msdstat import DataError, Dataset, Observation
-from msdstat.cli import TABLES_ENV, entrypoint
+from msdstat.cli import entrypoint
 from msdstat.datasets import conductivity_study, load_study, save_study
 from msdstat.errors import ConvergenceError
-from msdstat.tables import (QuantileTable, _table_file, build_table,
-                            default_table, save_table)
+from msdstat.tables import (QuantileTable, _critical_value, _table_file,
+                            build_table, default_table, save_table)
 
 
 @pytest.fixture()
@@ -167,14 +167,6 @@ class TestAnalyze:
         assert by_lab["Lab05"]["bootstrap"]["p_raw"]["value"] == \
             pytest.approx(0.004)
 
-    def test_adjust_column_selection(self, runner, study_path):
-        result = invoke(runner, ["analyze", str(study_path), "--bootstrap",
-                                 "500", "--adjust", "holm"])
-        assert "p_holm" in result.output
-        result = invoke(runner, ["analyze", str(study_path), "--bootstrap",
-                                 "500"])
-        assert "p_bh" in result.output
-
     def test_identical_values_never_flag(self, runner, tmp_path):
         path = tmp_path / "flat.csv"
         path.write_text("lab,value,u\na,1.0,0.5\nb,1.0,0.25\nc,1.0,0.125\n")
@@ -262,10 +254,16 @@ class TestAnalyze:
         assert doc["tables"] == str(tdir)
         assert doc["critical_values"]["0.99"] == pytest.approx(2.5135,
                                                                abs=0.01)
-        via_env = invoke(runner, ["analyze", str(study_path), "--format",
-                                  "structured"],
-                         env={"MSD_TABLES_DIR": str(tdir)})
-        assert json.loads(via_env.output)["tables"] == str(tdir)
+        # the environment picks no route: only --tables does
+        env = {"MSD_TABLES_DIR": str(tdir)}
+        plain = invoke(runner, ["analyze", str(study_path), "--format",
+                                "structured"], env=env)
+        assert json.loads(plain.output)["tables"] == "exact"
+        # n = 99 reads 2.47512 from the max_n=16 table
+        bundled = _critical_value(99, 0.95, "multiple", default_table("odd"))
+        lookup = invoke(runner, ["quantile", "--n", "99", "--p", "0.95",
+                                 "--method", "table"], env=env)
+        assert lookup.output == f"{bundled:.6g}\n" == "2.47502\n"
 
     def test_missing_input_exits_3(self, runner, tmp_path):
         result = runner.invoke(entrypoint,
@@ -343,11 +341,15 @@ class TestTablesGenerate:
         assert sorted(p.name for p in out.iterdir()) == [
             "msd_table_even.csv", "msd_table_odd.csv"]
 
-    def test_generated_tables_serve_lookups(self, runner, generated_tables):
-        check = invoke(runner, ["quantile", "--n", "10", "--p", "0.95",
-                                "--mode", "single", "--method", "table"],
-                       env={"MSD_TABLES_DIR": str(generated_tables.out)})
-        assert abs(float(check.output) - 1.497) < 0.002
+    def test_generated_tables_serve_lookups(self, runner, generated_tables,
+                                            study_path):
+        check = invoke(runner, ["analyze", str(study_path), "--tables",
+                                str(generated_tables.out), "--format",
+                                "structured"])
+        doc = json.loads(check.output)
+        assert doc["tables"] == str(generated_tables.out)
+        assert doc["critical_values"]["0.99"] == pytest.approx(2.5135,
+                                                               abs=0.01)
 
     @pytest.mark.parametrize("command, option", [
         (["tables", "generate", "--out", "{out}"], ["--parity", "even"]),
@@ -356,13 +358,14 @@ class TestTablesGenerate:
         (["simulate", "power"], ["--out", "{out}"]),
         (["simulate", "resistance"], ["--out", "{out}"]),
         (["simulate", "hetero"], ["--out", "{out}"]),
+        (["analyze", "{study}"], ["--adjust", "holm"]),
     ], ids=["--parity", "--max-n", "simulate table3 --out",
             "simulate power --out", "simulate resistance --out",
-            "simulate hetero --out"])
+            "simulate hetero --out", "analyze --adjust"])
     def test_removed_options_are_usage_errors(self, runner, tmp_path,
-                                              command, option):
+                                              study_path, command, option):
         out = tmp_path / "t"
-        result = runner.invoke(entrypoint, [a.format(out=out)
+        result = runner.invoke(entrypoint, [a.format(out=out, study=study_path)
                                             for a in command + option])
         assert result.exit_code == 2
         assert f"No such option '{option[0]}'" in result.stderr
@@ -493,7 +496,6 @@ class TestChecksBeforeWork:
         monkeypatch.setattr("msdstat.simulation._null_pool", work)
         monkeypatch.setattr("msdstat.tables.quantile", work)
         monkeypatch.setattr("msdstat.cli.build_table", work)
-        monkeypatch.delenv(TABLES_ENV, raising=False)
 
     @pytest.mark.parametrize("args, message", [
         (["simulate", "power", "--stat", "pwch", "--replicates", "0"],
@@ -578,7 +580,6 @@ class TestExitCodeMapping:
             raise ConvergenceError("root search did not converge")
 
         monkeypatch.setattr("msdstat.tables.quantile", fail)
-        monkeypatch.delenv(TABLES_ENV, raising=False)
         if args == ["analyze"]:
             args = args + [str(study_path)]
         result = runner.invoke(entrypoint, args)
@@ -613,7 +614,7 @@ print(json.dumps(loaded))
 class TestColdStart:
     def test_scipy_is_loaded_only_by_exact_cdfs(self, study_path):
         package = Path(msdstat.__file__).resolve().parent
-        env = {k: v for k, v in os.environ.items() if k != TABLES_ENV}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(package.parent), env.get("PYTHONPATH")]))
         no_scipy = [

@@ -10,8 +10,9 @@ bundled table bytes, their last bits follow the numpy/scipy build.
 The test never writes the golden. A change that alters output on purpose
 regenerates it with ``PYTHONPATH=src python tests/test_cli_golden.py`` and
 lists the changed records in CHANGES.md. Regeneration keeps the stored
-stdout of every record that still matches it under the rule above, so only
-output that moved is rewritten, whatever the build's last bits.
+spelling of every full-precision number that still agrees under the rule
+above, in records whose text moved too, so only output that moved is
+rewritten, whatever the build's last bits.
 """
 import json
 import re
@@ -24,7 +25,7 @@ import pytest
 from click.testing import CliRunner
 
 import msdstat
-from msdstat.cli import TABLES_ENV, entrypoint
+from msdstat.cli import entrypoint
 from msdstat.datasets import conductivity_study, save_study
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -48,8 +49,7 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
      "--format", "structured"],
     ["analyze", "{even}", "--tables", "{data}", "--format", "structured"],
     ["analyze", "{even}", "--tables", "{data}", "--mode", "single"],
-    ["analyze", "{odd}", "--bootstrap", "200", "--seed", "3",
-     "--adjust", "holm"],
+    ["analyze", "{odd}", "--bootstrap", "200", "--seed", "3"],
     ["analyze", "{even}", "--bootstrap", "200", "--format", "structured"],
     ["bootstrap", "{odd}", "-B", "300", "--seed", "5"],
     ["bootstrap", "{even}", "-B", "200", "--format", "structured"],
@@ -72,6 +72,7 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
     ["quantile", "--n", "2", "--p", "0.95"],
     ["quantile", "--n", "10", "--p", "1.5"],
     ["analyze", "{odd}", "--mode", "pairwise"],
+    ["analyze", "{odd}", "--adjust", "holm"],
     ["simulate", "power", "--grid", "1:0:1"],
     ["simulate", "hetero", "--sizes", "5,x"],
     ["tables", "generate", "--out", "{odd}"],
@@ -106,7 +107,7 @@ def _transcript(tmp: Path) -> list[dict]:
     paths = {"odd": str(tmp / "odd.csv"), "even": str(tmp / "even.csv"),
              "data": str(Path(msdstat.__file__).parent / "data"),
              "tmp": str(tmp)}
-    runner = CliRunner(env={TABLES_ENV: None})
+    runner = CliRunner()
     records = []
     for args in COMMANDS:
         result = runner.invoke(entrypoint, [a.format(**paths) for a in args],
@@ -123,17 +124,23 @@ def _transcript(tmp: Path) -> list[dict]:
     return records
 
 
-def _split(text: str) -> tuple[str, list[float]]:
-    """``text`` with its full-precision numbers masked, and those numbers."""
+def _split(text: str) -> tuple[str, list[str]]:
+    """``text`` with its full-precision numbers masked, and those numbers as
+    written."""
     numbers = []
 
     def mask(span):
         def take(m):
-            numbers.append(float(m.group()))
+            numbers.append(m.group())
             return "#"
         return _LOOSE_NUMBER.sub(take, span.group())
 
     return _LOOSE_SPAN.sub(mask, text), numbers
+
+
+def _close(got: list[str], want: list[str]) -> bool:
+    return [float(x) for x in got] == pytest.approx(
+        [float(x) for x in want], rel=1e-12, abs=0)
 
 
 def _same_stdout(got: str, want: str) -> bool:
@@ -141,19 +148,31 @@ def _same_stdout(got: str, want: str) -> bool:
     numbers are masked, and those numbers within 1e-12 relative."""
     got_text, got_nums = _split(got)
     want_text, want_nums = _split(want)
-    return got_text == want_text and \
-        got_nums == pytest.approx(want_nums, rel=1e-12, abs=0)
+    return got_text == want_text and _close(got_nums, want_nums)
+
+
+def _kept_numbers(got: str, want: str) -> str:
+    """``got`` spelling its full-precision numbers as ``want`` does, when
+    they agree under ``_same_stdout``'s rule; ``want`` itself when the
+    masked text agrees too."""
+    stored = _split(want)[1]
+    if not _close(_split(got)[1], stored):
+        return got
+    spelled = iter(stored)
+    return _LOOSE_SPAN.sub(lambda span: _LOOSE_NUMBER.sub(
+        lambda m: next(spelled), span.group()), got)
 
 
 def _regenerated(actual: list[dict], golden: list[dict]) -> str:
-    """The golden file for ``actual``; a record whose stdout matches the
-    stored one under ``_same_stdout`` keeps the stored text."""
+    """The golden file for ``actual``; every record keeps the stored
+    spelling of its full-precision numbers while they still agree, so only
+    output that moved is rewritten, whatever the build's last bits."""
     stored = {tuple(r["args"]): r["stdout"] for r in golden}
     records = []
     for record in actual:
         old = stored.get(tuple(record["args"]))
-        if old is not None and _same_stdout(record["stdout"], old):
-            record = {**record, "stdout": old}
+        if old is not None:
+            record = {**record, "stdout": _kept_numbers(record["stdout"], old)}
         records.append(record)
     return json.dumps(records, indent=1) + "\n"
 
@@ -175,6 +194,24 @@ def test_cli_matches_golden(transcript):
 def test_regenerating_an_unchanged_golden_rewrites_nothing(transcript):
     text = GOLDEN.read_text()
     assert _regenerated(transcript, json.loads(text)) == text
+
+
+def test_regenerating_a_moved_record_keeps_its_agreeing_numbers():
+    def record(stdout):
+        return {"args": ["analyze"], "exit": 0, "stdout": stdout, "stderr": ""}
+
+    stored = ('{\n "critical_values": {\n  "0.95": 2.155205289289452\n },\n'
+              ' "adjust": "bh"\n}\ncritical=3.5\n')
+    moved = ('{\n "critical_values": {\n  "0.95": 2.1552052892894666\n },\n'
+             ' "seed": null\n}\ncritical=3.5000000000000004\n')
+    kept = ('{\n "critical_values": {\n  "0.95": 2.155205289289452\n },\n'
+            ' "seed": null\n}\ncritical=3.5\n')
+    assert json.loads(_regenerated([record(moved)], [record(stored)])) == \
+        [record(kept)]
+    # numbers that moved beyond the rule are rewritten with the text
+    far = moved.replace("2.1552052892894666", "2.1552")
+    assert json.loads(_regenerated([record(far)], [record(stored)])) == \
+        [record(far)]
 
 
 def test_every_command_has_a_help_golden():

@@ -6,7 +6,6 @@ from scipy import special
 
 from msdstat import (
     ASYMPTOTIC_LOWER_BOUND,
-    ConvergenceError,
     DataError,
     DomainError,
     PValue,

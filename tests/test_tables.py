@@ -207,7 +207,20 @@ class TestPersistence:
                 ("2,0.0,0.5,1.0\n", r":3: size '2' is not an integer >= 3"),
                 ("1" + "0" * 400 + ",0.0,0.5,1.0\n", r":3: size '10+'"),
                 ("4,0.0,0.5,1.0\ninf,0.0,1.0\n",
-                 r":4: 2 values where earlier lines have 3")):
+                 r":4: 2 values where earlier lines have 3"),
+                # a row fault names its own line, not only the file
+                ("4,0.0,0.5,1.0\n6,0.0,nan,1.0\n",
+                 r":4: probabilities must be finite"),
+                ("4,0.0,0.5,1.0\n6,0.0,1.5,1.0\n",
+                 r":4: probabilities must lie in \[0, 1\]"),
+                ("4,0.0,0.5,1.0\n6,0.6,0.5,1.0\n",
+                 r":4: each row must be non-decreasing along q"),
+                ("4,0.0,0.5,1.0\n6,0.0,1.0,0.999\n",
+                 r":4: each row must be non-decreasing along q"),
+                ("4,0.0,0.5,1.0\n6,0.0,0.5,0.999\n",
+                 r":4: final column must be exactly 1"),
+                ("4,0.0,0.5,1.0\nknots,0.0,0.5,1.0\n",
+                 r":4: a second knots line")):
             path.write_text(head + body)
             with pytest.raises(DataError, match=re.escape(str(path)) + message):
                 load_table(path)
@@ -222,7 +235,7 @@ class TestPersistence:
         for text, message in (
                 (rows, ": not a quantile table file"),
                 ("# parity: even\n" + rows.replace("4,0.0", "4,0.6"),
-                 ": each row must be non-decreasing along q"),
+                 ":3: each row must be non-decreasing along q"),
                 ("# parity: both\n" + rows, ": unknown parity 'both'")):
             path.write_text(text)
             with pytest.raises(DataError,
