@@ -85,10 +85,8 @@ class BootstrapReport:
 
 def _sorted_values(ps) -> tuple[np.ndarray, np.ndarray]:
     """The p-values under PValue's rule, sorted, and the sorting order."""
-    vals = np.array(_check_list(ps, "p-values must be a list of numbers",
-                                lambda p: PValue(p).value))
-    if vals.size == 0:
-        raise DataError("need at least one p-value")
+    vals = np.array(_check_list(ps, "p-values must be a non-empty list of "
+                                "numbers", lambda p: PValue(p).value))
     order = np.argsort(vals, kind="stable")
     return vals[order], order
 

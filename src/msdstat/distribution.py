@@ -121,22 +121,20 @@ def _validate_p(p) -> float:
 
 
 def _check_list(values, what: str, member) -> tuple:
-    """The one list rule: a non-string iterable of values under
+    """The one list rule: a non-empty, non-string iterable of values under
     ``_is_real``, each of which ``member`` checks and converts."""
     items = (None if isinstance(values, str) or not np.iterable(values)
              else tuple(values))
-    if items is None or not all(map(_is_real, items)):
+    if not items or not all(map(_is_real, items)):
         raise DataError(f"{what}, got {values!r}")
     return tuple(map(member, items))
 
 
 def _validate_levels(ps) -> tuple[float, ...]:
     """A list of quantile levels: each one a probability, at least one."""
-    levels = _check_list(ps, "quantile levels must be a list of probabilities",
-                         _validate_p)
-    if not levels:
-        raise DataError("need at least one quantile level")
-    return levels
+    return _check_list(
+        ps, "quantile levels must be a non-empty list of probabilities",
+        _validate_p)
 
 
 def _marginal_cdf(q, n, parity: str, conditional, tol: float) -> float:

@@ -107,10 +107,7 @@ def _null_pool(kernel, n: int, ps, replicates: int, seed: int):
     of an all-null study of size n."""
     n = _check_n(n)
     blocks = _blocks(seed, replicates)
-    if replicates < 1000:
-        raise DataError(
-            f"replicates={replicates} is too few for quantile estimation; "
-            "need at least 1000")
+    _check_int("replicates", replicates, "an integer >= 1000", 1000)
     return _validate_levels(ps), _pool(kernel, np.ones(n), blocks)
 
 
@@ -143,10 +140,8 @@ def _grid_exceedance(statistic: str, n: int, grid, replicates: int, seed: int,
         critical = _check_real("critical value", critical, "be positive",
                                lambda c: math.isfinite(c) and c > 0)
     grid = np.array(_check_list(
-        grid, "grid must be a list of numbers",
+        grid, "grid must be a non-empty list of numbers",
         lambda d: _check_real("grid value", d, "be finite", math.isfinite)))
-    if grid.size == 0:
-        raise DataError("displacement grid must be non-empty")
     streams = [_blocks(seed, replicates, (j,)) for j in range(grid.size)]
     # every argument is checked; only now may the default threshold cost time
     if critical is None:
@@ -200,10 +195,9 @@ def simulate_hetero_guideline(sizes, replicates: int, seed: int) -> HeteroStudy:
     statistic exceeds INSPECT, and how often a dataset contains any value
     above SCREEN.
     """
-    sizes = _check_list(sizes, "sizes must be a list of integers", lambda n:
-                        _check_int("size", n, "an integer in 5..25", 5, 26))
-    if not sizes:
-        raise DataError("need at least one dataset size")
+    sizes = _check_list(
+        sizes, "sizes must be a non-empty list of integers",
+        lambda n: _check_int("size", n, "an integer in 5..25", 5, 26))
     value_hits = np.zeros(len(sizes), dtype=np.int64)
     dataset_hits = np.zeros(len(sizes), dtype=np.int64)
     for j, n in enumerate(sizes):

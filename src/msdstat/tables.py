@@ -70,35 +70,37 @@ class QuantileTable:
     probs: np.ndarray           # shape (len(sizes), len(knots_t))
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise DataError(f"unknown parity {self.parity!r}")
-        knots = self.knots_t
-        if knots.ndim != 1 or knots.size < 2:
-            raise DataError("need a 1-d grid of at least two knots")
-        if not np.all(np.isfinite(knots)):
-            raise DataError("knots must be finite")
-        if np.any(np.diff(knots) <= 0.0):
-            raise DataError("knots must be strictly increasing")
-        if self.sizes[-1] != math.inf or any(
-                not s < t for s, t in zip(self.sizes, self.sizes[1:])):
-            raise DataError("sizes must ascend and end with the asymptotic row")
-        if self.probs.shape != (len(self.sizes), len(self.knots_t)):
-            raise DataError("probability matrix shape does not match grids")
-        _check_rows(self.probs)
+        if fault := _fault(self.parity, self.sizes, self.knots_t, self.probs):
+            raise DataError(fault[1])
 
 
-def _check_rows(probs: np.ndarray) -> None:
-    """The rule for table rows, one row or a matrix of them along the last
-    axis: finite probabilities in [0, 1], non-decreasing along q, ending
-    at exactly 1."""
-    if not np.all(np.isfinite(probs)):
-        raise DataError("probabilities must be finite")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise DataError("probabilities must lie in [0, 1]")
-    if np.any(np.diff(probs) < 0.0):
-        raise DataError("each row must be non-decreasing along q")
-    if np.any(probs[..., -1] != 1.0):
-        raise DataError("final column must be exactly 1")
+def _fault(parity, sizes, knots, probs):
+    """The one table rule: None or the first fault, (part, message), part
+    being "parity", "knots" or a row index; rows before the size order."""
+    if parity not in ("even", "odd"):
+        return "parity", f"unknown parity {parity!r}"
+    if knots.ndim != 1 or knots.size < 2:
+        return "knots", "need a 1-d grid of at least two knots"
+    if not np.all(np.isfinite(knots)):
+        return "knots", "knots must be finite"
+    if np.any(np.diff(knots) <= 0.0):
+        return "knots", "knots must be strictly increasing"
+    if probs.shape != (len(sizes), knots.size):
+        return "knots", "probability matrix shape does not match grids"
+    with np.errstate(invalid="ignore"):
+        rules = {"probabilities must be finite": ~np.isfinite(probs),
+                 "probabilities must lie in [0, 1]": (probs < 0) | (probs > 1),
+                 "each row must be non-decreasing along q": np.diff(probs) < 0,
+                 "final column must be exactly 1": probs[:, -1:] != 1.0}
+    faults = np.stack([bad.any(axis=1) for bad in rules.values()])
+    if faults.any():
+        row = int(faults.any(axis=0).argmax())
+        return row, list(rules)[int(faults[:, row].argmax())]
+    steps = [i for i in range(1, len(sizes)) if not sizes[i - 1] < sizes[i]]
+    if steps or not sizes or sizes[-1] != math.inf:
+        return ((steps or [len(sizes) - 1])[0],
+                "sizes must ascend and end with the asymptotic row")
+    return None
 
 
 def _tangents(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -211,7 +213,10 @@ def save_table(table: QuantileTable, path) -> None:
 
 
 def load_table(path) -> QuantileTable:
-    """Read a table file, bundled or regenerated by ``save_table``."""
+    """Read a table file, bundled or regenerated by ``save_table``. Each
+    fault raises DataError "FILE:LINE: message"; of several, the first line
+    that does not parse wins, else ``_fault``'s first: parity, knots, a bad
+    row, the size order (the last row when the ``inf`` row is missing)."""
     origin = str(path)
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -226,6 +231,7 @@ def load_table(path) -> QuantileTable:
     sizes: list[float] = []
     rows: list[np.ndarray] = []
     width = None
+    where = {}  # line of each part: "parity", "knots" and each row's index
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -233,7 +239,10 @@ def load_table(path) -> QuantileTable:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("parity:"):
+                if parity is not None:
+                    raise DataError(f"{origin}:{lineno}: a second parity line")
                 parity = body.split(":", 1)[1].strip()
+                where["parity"] = lineno
             continue
         head, _, rest = line.partition(",")
         try:
@@ -249,6 +258,7 @@ def load_table(path) -> QuantileTable:
             if knots is not None:
                 raise DataError(f"{origin}:{lineno}: a second knots line")
             knots = vals
+            where["knots"] = lineno
             continue
         try:
             size = math.inf if head == "inf" else float(int(head))
@@ -257,18 +267,17 @@ def load_table(path) -> QuantileTable:
         except (ValueError, OverflowError):
             raise DataError(f"{origin}:{lineno}: size {head!r} is not an "
                             "integer >= 3 or 'inf'") from None
-        try:
-            _check_rows(vals)
-        except DataError as exc:
-            raise DataError(f"{origin}:{lineno}: {exc}") from None
+        where[len(rows)] = lineno
         sizes.append(size)
         rows.append(vals)
     if parity is None or knots is None or not rows:
         raise DataError(f"{origin}: not a quantile table file")
+    sizes, probs = tuple(sizes), np.vstack(rows)
     try:
-        return QuantileTable(parity, tuple(sizes), knots, np.vstack(rows))
-    except DataError as exc:
-        raise DataError(f"{origin}: {exc}") from exc
+        return QuantileTable(parity, sizes, knots, probs)
+    except DataError:
+        part, message = _fault(parity, sizes, knots, probs)
+        raise DataError(f"{origin}:{where[part]}: {message}") from None
 
 
 @lru_cache(maxsize=None)

@@ -117,9 +117,10 @@ class TestAdjusters:
 
     @pytest.mark.parametrize("ps, message", [
         ([float("nan"), 0.5], "p-value must lie in (0, 1], got nan"),
-        (0.5, "p-values must be a list of numbers, got 0.5"),
-        ("0.5", "p-values must be a list of numbers, got '0.5'"),
-        (["x", 0.5], "p-values must be a list of numbers, got ['x', 0.5]"),
+        (0.5, "p-values must be a non-empty list of numbers, got 0.5"),
+        ("0.5", "p-values must be a non-empty list of numbers, got '0.5'"),
+        (["x", 0.5],
+         "p-values must be a non-empty list of numbers, got ['x', 0.5]"),
     ])
     def test_p_values_follow_the_pvalue_rule(self, ps, message):
         # the rule of PValue, and the list shape rule of quantile levels

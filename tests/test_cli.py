@@ -469,8 +469,8 @@ class TestSimulateCmds:
              floor),
             (["bootstrap", study], ["-B", "99"], floor),
             (["simulate", "table3", "--n", "5", "--replicates", "1000"],
-             ["--replicates", "999"], "replicates=999 is too few for quantile "
-             "estimation; need at least 1000"),
+             ["--replicates", "999"],
+             "replicates must be an integer >= 1000, got 999"),
             (["simulate", "power"], ["--replicates", "0"], positive),
             (["simulate", "resistance"], ["--replicates", "0"], positive),
             (["simulate", "hetero"], ["--replicates", "0"], positive),

@@ -1,4 +1,5 @@
-"""Every module-level import of the package and the tests is read.
+"""Every module-level import of the package, the tests and the demos is
+read.
 
 ``msdstat/__init__.py`` is left out: its imports are the package API.
 """
@@ -9,6 +10,7 @@ import msdstat
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = Path(msdstat.__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
 
 
 def _unread_imports(path: Path) -> list[str]:
@@ -26,7 +28,7 @@ def _unread_imports(path: Path) -> list[str]:
 
 def test_no_module_imports_a_name_it_never_reads():
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted(TESTS.glob("*.py"))
+    paths += sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     unread = {f"{p.parent.name}/{p.name}": names
               for p in paths if (names := _unread_imports(p))}
     assert unread == {}

@@ -4,7 +4,7 @@ import pytest
 
 import property_checks as props
 from msdstat import DataError, DomainError, quantile
-from msdstat.bootstrap import BootstrapConfig, bootstrap_msd
+from msdstat.bootstrap import BootstrapConfig, bootstrap_msd, holm_adjust
 from msdstat.simulation import (
     calibrate_pwch_quantile,
     simulate_hetero_guideline,
@@ -88,9 +88,10 @@ class TestConfig:
             raise AssertionError("a replicate was scored")
 
         monkeypatch.setattr(simulation, "qe_values", no_draws)
-        with pytest.raises(DataError, match="need at least one quantile level"):
+        empty = "quantile levels must be a non-empty list of probabilities"
+        with pytest.raises(DataError, match=empty):
             simulate_multi_quantiles(10, (), 2000, seed=0)
-        with pytest.raises(DataError, match="need at least one quantile level"):
+        with pytest.raises(DataError, match=empty):
             BootstrapConfig(levels=())
 
     def test_power_grid_and_critical_validated(self):
@@ -104,19 +105,30 @@ class TestConfig:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: simulate_hetero_guideline(5, 1000, 0),
-         "sizes must be a list of integers, got 5"),
+         "sizes must be a non-empty list of integers, got 5"),
         (lambda: simulate_hetero_guideline("5", 1000, 0),
-         "sizes must be a list of integers, got '5'"),
+         "sizes must be a non-empty list of integers, got '5'"),
         (lambda: simulate_power("msd", 10, 1.0, 100, 0, 2.0),
-         "grid must be a list of numbers, got 1.0"),
+         "grid must be a non-empty list of numbers, got 1.0"),
         (lambda: simulate_resistance("msd", 10, ["a"], 100, 0, 2.0),
-         "grid must be a list of numbers, got ['a']"),
+         "grid must be a non-empty list of numbers, got ['a']"),
         (lambda: simulate_power("msd", 10, (0.0,), 100, 0, "2"),
          "critical value must be positive, got '2'"),
         (lambda: simulate_multi_quantiles(10, ["x"], 1000, 0),
-         "quantile levels must be a list of probabilities, got ['x']"),
+         "quantile levels must be a non-empty list of probabilities, "
+         "got ['x']"),
+        # each list argument refuses an empty list with its own message
+        (lambda: simulate_multi_quantiles(10, (), 1000, 0),
+         "quantile levels must be a non-empty list of probabilities, got ()"),
+        (lambda: simulate_power("msd", 10, [], 100, 0, 2.0),
+         "grid must be a non-empty list of numbers, got []"),
+        (lambda: simulate_hetero_guideline((), 1000, 0),
+         "sizes must be a non-empty list of integers, got ()"),
+        (lambda: holm_adjust(()),
+         "p-values must be a non-empty list of numbers, got ()"),
     ], ids=["bare size", "size string", "bare grid value", "text grid",
-            "text critical", "text level"])
+            "text critical", "text level", "empty levels", "empty grid",
+            "empty sizes", "empty p-values"])
     def test_list_and_number_arguments_raise_data_error(self, call, message):
         with pytest.raises(DataError) as err:
             call()
@@ -132,7 +144,7 @@ class TestConfig:
         monkeypatch.setattr("msdstat.tables.quantile", work)
         bad = [((10, (0.0,), 0, 0), "replicates must be a positive integer"),
                ((10, (0.0,), 100, -1), "seed must be a 64-bit integer"),
-               ((10, (), 100, 0), "displacement grid must be non-empty"),
+               ((10, (), 100, 0), "grid must be a non-empty list of numbers"),
                ((2, (0.0,), 100, 0), "n must be an integer")]
         for runner in (simulate_power, simulate_resistance):
             for statistic in ("msd", "pwch"):

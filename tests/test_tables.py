@@ -220,14 +220,41 @@ class TestPersistence:
                 ("4,0.0,0.5,1.0\n6,0.0,0.5,0.999\n",
                  r":4: final column must be exactly 1"),
                 ("4,0.0,0.5,1.0\nknots,0.0,0.5,1.0\n",
-                 r":4: a second knots line")):
+                 r":4: a second knots line"),
+                # so does a fault of the knots, the size order or the parity
+                ("4,0.0,0.5,1.0\n# parity: odd\n",
+                 r":4: a second parity line"),
+                ("4,0.0,0.5,1.0\n4,0.0,0.6,1.0\ninf,0.0,0.7,1.0\n",
+                 r":4: sizes must ascend and end with the asymptotic row"),
+                ("4,0.0,0.5,1.0\n6,0.0,0.6,1.0\n",
+                 r":4: sizes must ascend and end with the asymptotic row")):
             path.write_text(head + body)
             with pytest.raises(DataError, match=re.escape(str(path)) + message):
+                load_table(path)
+        for knots, message in (("0.0,0.6,0.5", "strictly increasing"),
+                               ("0.0,nan,1.0", "finite")):
+            path.write_text(f"# parity: even\nknots,{knots}\n"
+                            "4,0.0,0.5,1.0\ninf,0.0,0.5,1.0\n")
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}:2: knots must be {message}")):
                 load_table(path)
         path.write_bytes(head.encode() + "4,0.0,0.5,1.0 # \u00e9\n".encode())
         with pytest.raises(DataError,
                            match=re.escape(str(path)) + ":3: non-ASCII byte 0xc3"):
             load_table(path)
+
+    def test_a_load_runs_the_table_rule_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        rule = tables._fault
+        monkeypatch.setattr(tables, "_fault", counted)
+        data = Path(tables.__file__).parent / "data"
+        load_table(data / tables._table_file("even"))
+        assert len(calls) == 1
 
     def test_file_errors_name_the_path(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -236,7 +263,7 @@ class TestPersistence:
                 (rows, ": not a quantile table file"),
                 ("# parity: even\n" + rows.replace("4,0.0", "4,0.6"),
                  ":3: each row must be non-decreasing along q"),
-                ("# parity: both\n" + rows, ": unknown parity 'both'")):
+                ("# parity: both\n" + rows, ":1: unknown parity 'both'")):
             path.write_text(text)
             with pytest.raises(DataError,
                                match=re.escape(str(path) + message)):
