@@ -12,15 +12,12 @@ from .statistic import (
     MsdResult,
     Observation,
     msd,
-    pairwise_chisq,
 )
 from .distribution import (
-    ASYMPTOTIC_LOWER_BOUND,
     cdf,
     cdf_asymptotic,
     cdf_even,
     cdf_odd,
-    conditional_cdf,
     quantile,
 )
 from .tables import (
@@ -52,6 +49,6 @@ from .bootstrap import (
     bootstrap_msd,
     holm_adjust,
 )
-from .datasets import conductivity_study, load_study, save_study
+from .datasets import conductivity_study, load_study
 
 __version__ = "0.1.0"

@@ -245,6 +245,9 @@ def _parse_grid(ctx, param, value):
         return tuple(np.arange(lo, hi + 0.5 * step, step))
     except ValueError:
         raise click.BadParameter("expected LO:HI:STEP with STEP > 0")
+    except MemoryError:
+        raise click.BadParameter("expected LO:HI:STEP; this grid has too "
+                                 "many points")
 
 
 def _parse_sizes(ctx, param, value):

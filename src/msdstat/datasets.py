@@ -1,4 +1,4 @@
-"""Study-file input/output and the bundled reference dataset.
+"""Study-file input and the bundled reference dataset.
 
 The interchange format is deliberately plain: comma-separated text with a
 `lab,value,u` header, optional `#` comment lines, one row per laboratory.
@@ -68,18 +68,6 @@ def load_study(path) -> Dataset:
         return Dataset(observations)
     except DataError as exc:
         raise DataError(f"{path.name}: {exc}") from None
-
-
-def save_study(ds: Dataset, path) -> None:
-    """Write a dataset in the study-file format once each row parses back
-    unchanged; else raise DataError naming its label and write nothing."""
-    lines = ["lab,value,u"]
-    for o in ds.observations:
-        lines.append(f"{o.label},{float(o.value)!r},{float(o.uncertainty)!r}")
-        if _parse_study([lines[0], *lines[-1].splitlines()],
-                        f"label {o.label!r}") != (o,):
-            raise DataError(f"label {o.label!r} would not read back unchanged")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def conductivity_study() -> Dataset:

@@ -42,7 +42,7 @@ _ODD_INNER_TOL = 1e-10
 _ODD_OUTER_TOL = 1e-8
 
 # The asymptotic distribution is zero left of (half-normal median)/sqrt(2).
-ASYMPTOTIC_LOWER_BOUND = NormalDist().inv_cdf(0.75) / _SQRT2
+_ASYMPTOTIC_LOWER_BOUND = NormalDist().inv_cdf(0.75) / _SQRT2
 
 
 def _check_int(name: str, value, rule: str, lo: int, hi: float = math.inf,
@@ -94,13 +94,10 @@ def _check_seed(seed) -> int:
     return _check_int("seed", seed, "a 64-bit integer", 0, 2 ** 64)
 
 
-def conditional_cdf(d, x0):
-    """P(|D| <= d) for one scaled difference, given the subject value x0."""
+def _conditional_cdf(d, x0):
+    """P(|D| <= d), for d >= 0, of one scaled difference given x0."""
     from scipy import special
 
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise DomainError("absolute difference must be non-negative")
     a = np.abs(x0)  # symmetric in x0
     s = d * _SQRT2
     return special.ndtr(s - a) - special.ndtr(-s - a)
@@ -164,7 +161,7 @@ def _even_conditional_cdf(q: float, x0: np.ndarray, r: int) -> np.ndarray:
     probability F(q | x0), the regularized incomplete beta I_F(r, r)."""
     from scipy import special
 
-    return special.betainc(r, r, conditional_cdf(q, x0))
+    return special.betainc(r, r, _conditional_cdf(q, x0))
 
 
 def cdf_even(q, n) -> float:
@@ -230,12 +227,12 @@ def cdf_asymptotic(q) -> float:
     x0* the positive root of F(q | x0*) = 1/2.
     """
     q = _validate_q(q)
-    if q <= ASYMPTOTIC_LOWER_BOUND:
+    if q <= _ASYMPTOTIC_LOWER_BOUND:
         return 0.0
     from scipy import special
 
     hi = q * _SQRT2 + 10.0
-    x0_star = find_root(lambda x0: float(conditional_cdf(q, x0)) - 0.5, 0.0, hi)
+    x0_star = find_root(lambda x0: float(_conditional_cdf(q, x0)) - 0.5, 0.0, hi)
     return 2.0 * float(special.ndtr(x0_star)) - 1.0
 
 
@@ -267,5 +264,5 @@ def quantile(p, n) -> float:
     """Inverse of ``cdf`` in q, accurate to better than 1e-6 in probability."""
     p = _validate_p(p)
     # the asymptotic CDF is flat at zero up to its support bound
-    lo = ASYMPTOTIC_LOWER_BOUND + 1e-12 if n == math.inf else 0.0
+    lo = _ASYMPTOTIC_LOWER_BOUND + 1e-12 if n == math.inf else 0.0
     return find_root(lambda q: cdf(q, n) - p, lo, _QUANTILE_BRACKET_HI)

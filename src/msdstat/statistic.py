@@ -204,9 +204,3 @@ def pwch_values(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 def msd(ds: Dataset) -> MsdResult:
     """Median absolute scaled difference for every observation."""
     return MsdResult(ds.labels, qe_values(ds.values(), ds.uncertainties()))
-
-
-def pairwise_chisq(ds: Dataset) -> tuple[tuple[str, float], ...]:
-    """Mean-of-squares comparator statistic per observation."""
-    stats = pwch_values(ds.values(), ds.uncertainties())
-    return tuple(zip(ds.labels, (float(s) for s in stats)))

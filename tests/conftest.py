@@ -7,6 +7,14 @@ from msdstat.cli import entrypoint
 from msdstat.tables import _table_file, load_table
 
 
+def write_study(ds, path):
+    """Write ``ds`` as a study file: the ``lab,value,u`` header, then one
+    ``label,repr(value),repr(u)`` line per lab."""
+    lines = ["lab,value,u"] + [f"{o.label},{o.value!r},{o.uncertainty!r}"
+                               for o in ds.observations]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,

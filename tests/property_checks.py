@@ -10,7 +10,8 @@ import numpy as np
 from scipy import special
 
 from msdstat.statistic import qe_values
-from msdstat import cdf, conditional_cdf, quantile
+from msdstat import cdf, quantile
+from msdstat.distribution import _conditional_cdf
 
 
 def pair_matrix(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -99,7 +100,7 @@ def check_beta_binomial_equivalence():
         for _ in range(8):
             q = rng.uniform(0.05, 3.0)
             x0 = rng.uniform(-3.0, 3.0)
-            f = float(conditional_cdf(q, x0))
+            f = float(_conditional_cdf(q, x0))
             beta_form = special.betainc(r, n - r, f)
             tail = float(np.sum(binom * f ** ks * (1.0 - f) ** (m - ks)))
             assert abs(beta_form - tail) <= 1e-10

@@ -26,7 +26,9 @@ from click.testing import CliRunner
 
 import msdstat
 from msdstat.cli import entrypoint
-from msdstat.datasets import conductivity_study, save_study
+from msdstat.datasets import conductivity_study
+
+from conftest import write_study
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -100,7 +102,7 @@ _LOOSE_NUMBER = re.compile(r'(?<=": )-?\d[^,\s}]*|(?<==)\S+')
 def _transcript(tmp: Path) -> list[dict]:
     """Run every command in ``tmp``; paths in the output come back as the
     placeholders they were given as."""
-    save_study(conductivity_study(), tmp / "odd.csv")
+    write_study(conductivity_study(), tmp / "odd.csv")
     (tmp / "even.csv").write_text(
         "lab,value,u\nA,10.1,0.2\nB,10.0,0.1\nC,9.8,0.3\nD,10.3,0.2\n"
         "E,9.9,0.15\nF,12.0,0.2\n")

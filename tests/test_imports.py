@@ -1,16 +1,20 @@
 """Every module-level import of the package, the tests and the demos is
-read.
+read, and every name of the package API has a caller outside the tests.
 
 ``msdstat/__init__.py`` is left out: its imports are the package API.
 """
 import ast
+import re
 from pathlib import Path
+from types import ModuleType
 
 import msdstat
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = Path(msdstat.__file__).resolve().parent
 DEMOS = TESTS.parent / "demos"
+BENCH = TESTS.parent / "bench"
+README = TESTS.parent / "README.md"
 
 
 def _unread_imports(path: Path) -> list[str]:
@@ -32,3 +36,22 @@ def test_no_module_imports_a_name_it_never_reads():
     unread = {f"{p.parent.name}/{p.name}": names
               for p in paths if (names := _unread_imports(p))}
     assert unread == {}
+
+
+def test_every_public_name_has_a_caller():
+    # a reference is any whole-word use of the name other than the line
+    # that defines it; bench/ is read as text, never imported
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(DEMOS.glob("*.py")) + sorted(BENCH.glob("*.py")) + [README]
+    lines = [line for p in paths
+             for line in p.read_text(encoding="utf-8").splitlines()]
+    names = sorted(n for n, v in vars(msdstat).items()
+                   if not n.startswith("_") and not isinstance(v, ModuleType))
+    uncalled = []
+    for name in names:
+        used = re.compile(rf"\b{name}\b")
+        defined = re.compile(rf"\s*(?:(?:def|class)\s+{name}\b|{name}\s*=)")
+        if not any(used.search(line) and not defined.match(line)
+                   for line in lines):
+            uncalled.append(name)
+    assert uncalled == []

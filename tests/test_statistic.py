@@ -12,7 +12,6 @@ from msdstat import (
     Observation,
     bootstrap_msd,
     msd,
-    pairwise_chisq,
 )
 from msdstat.statistic import (
     BUDGET,
@@ -168,7 +167,9 @@ class TestStudyRound:
         assert below_20 == set(LABS) - above_20
 
     def test_pwch_values_frozen(self):
-        got = dict(pairwise_chisq(study()))
+        ds = study()
+        got = dict(zip(ds.labels,
+                       pwch_values(ds.values(), ds.uncertainties())))
         for lab, want in EXPECTED_PWCH.items():
             assert abs(got[lab] - want) < 1e-9 * want, lab
         assert max(got, key=got.get) == "Lab09"
@@ -179,9 +180,9 @@ class TestComparator:
         # x=(0,0,3), unit uncertainties: third point mean square is
         # ((3/sqrt2)^2 + (3/sqrt2)^2) / 2 = 4.5
         ds = Dataset.from_arrays("ABC", (0.0, 0.0, 3.0), (1.0,) * 3)
-        got = dict(pairwise_chisq(ds))
-        assert abs(got["C"] - 4.5) < 1e-12
-        assert abs(got["A"] - 0.5 * (0.0 + 4.5)) < 1e-12
+        got = pwch_values(ds.values(), ds.uncertainties())
+        assert abs(got[2] - 4.5) < 1e-12
+        assert abs(got[0] - 0.5 * (0.0 + 4.5)) < 1e-12
 
     def test_batch_kernel_agrees(self):
         rng = np.random.default_rng(11)
@@ -283,7 +284,7 @@ class TestExtremeScales:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = msd(ds).q_e
-            chisq = [s for _, s in pairwise_chisq(ds)]
+            chisq = pwch_values(ds.values(), ds.uncertainties())
             report = bootstrap_msd(ds, BootstrapConfig(replicates=200))
         want = qe_values(np.array([1.0, 3.0, -2.0, 5.0]), np.ones(4))
         assert np.all(np.isfinite(got)) and np.all(np.isfinite(chisq))
