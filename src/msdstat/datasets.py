@@ -14,6 +14,13 @@ from .statistic import Dataset, Observation
 _HEADER = ("lab", "value", "u")
 
 
+def _decimal(text: str) -> float:
+    """``float(text)``, refusing the non-ASCII digits and ``_`` it reads."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def _parse_study(lines, origin: str) -> tuple[Observation, ...]:
     observations: dict[str, Observation] = {}
     header_seen = False
@@ -37,8 +44,7 @@ def _parse_study(lines, origin: str) -> tuple[Observation, ...]:
         if not lab:
             raise DataError(f"{origin}:{lineno}: empty lab name")
         try:
-            value = float(value_text)
-            u = float(u_text)
+            value, u = _decimal(value_text), _decimal(u_text)
         except ValueError:
             raise DataError(
                 f"{origin}:{lineno}: value and u must be decimal numbers, "

@@ -203,11 +203,8 @@ def simulate_hetero_guideline(sizes, replicates: int, seed: int) -> HeteroStudy:
     for j, n in enumerate(sizes):
         for rng, c in _blocks(seed, replicates, (j,)):
             z3 = rng.standard_normal((c, n, 3))
-            v = (z3 * z3).sum(axis=-1)
-            u = np.sqrt(v)
-            z = rng.standard_normal((c, n))
-            x = u * z
-            qe = qe_values(x, u)
+            u = np.sqrt((z3 * z3).sum(axis=-1))
+            qe = qe_values(u * rng.standard_normal((c, n)), u)
             value_hits[j] += int((qe > INSPECT).sum())
             dataset_hits[j] += int((qe > SCREEN).any(axis=1).sum())
     return HeteroStudy(sizes, *_rate(value_hits, replicates * np.array(sizes)),

@@ -25,6 +25,7 @@ from importlib import resources
 
 import numpy as np
 
+from .datasets import _decimal
 from .distribution import (_ODD_EXACT_LIMIT, _check_n, _parity, _validate_p,
                            _validate_q, cdf, quantile)
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
@@ -140,8 +141,7 @@ def _cubic(t: np.ndarray, y: np.ndarray, m: np.ndarray, x: float) -> float:
 def _repair_row(row: np.ndarray) -> np.ndarray:
     # absorb quadrature noise at the 1e-9 level: clamp, enforce monotone,
     # pin the q = infinity column
-    row = np.clip(row, 0.0, 1.0)
-    row = np.maximum.accumulate(row)
+    row = np.maximum.accumulate(np.clip(row, 0.0, 1.0))
     row[-1] = 1.0
     return row
 
@@ -246,7 +246,7 @@ def load_table(path) -> QuantileTable:
             continue
         head, _, rest = line.partition(",")
         try:
-            vals = np.array([float(v) for v in rest.split(",")])
+            vals = np.array([_decimal(v) for v in rest.split(",")])
         except ValueError as exc:
             raise DataError(f"{origin}:{lineno}: unparseable number ({exc})")
         if width is None:
@@ -262,7 +262,7 @@ def load_table(path) -> QuantileTable:
             continue
         try:
             size = math.inf if head == "inf" else float(int(head))
-            if size < 3:
+            if size < 3 or "_" in head:
                 raise ValueError
         except (ValueError, OverflowError):
             raise DataError(f"{origin}:{lineno}: size {head!r} is not an "

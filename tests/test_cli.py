@@ -55,6 +55,11 @@ class TestStudyFiles:
             ("lab,value,u\na,1.0,0.5\nb,2.0,0.5\nc,-inf,0.5\n", ":4"),
             ("lab,value,u\na,1.0,inf\nb,2.0,0.5\nc,3.0,0.5\n", ":2"),
             ("lab,value,u\na,1.0,0.5\nb,2.0,nan\nc,3.0,0.5\n", ":3"),
+            # float() reads "_" separators and non-ASCII digits; a study may not
+            ("lab,value,u\na,1_0,0.5\nb,2.0,0.5\nc,3.0,0.5\n", ":2"),
+            ("lab,value,u\na,1.0,0.5\nb,2.0,0.5\nc,3.0,0_5\n", ":4"),
+            ("lab,value,u\na,1.0,0.5\nb,\uff11\uff12,0.5\nc,3.0,0.5\n",
+             ":3"),
         ]
         for text, marker in cases:
             path = tmp_path / "bad.csv"

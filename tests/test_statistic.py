@@ -195,11 +195,11 @@ class TestComparator:
 
 
 class TestBatchSlices:
-    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("n", [*range(3, 41), 75, 100])
     def test_slices_match_per_dataset_evaluation(self, n):
         # three full slices plus a one-dataset tail, for per-lab and
-        # per-replicate uncertainties; the reference scores one dataset at
-        # a time from its own pair matrix
+        # per-replicate uncertainties, at every small n of both parities;
+        # the reference takes np.median of one dataset's partners at a time
         step = BUDGET // (n * n)
         batch = 3 * step + 1
         rng = np.random.default_rng(n)
@@ -208,13 +208,10 @@ class TestBatchSlices:
         for u in (rng.uniform(0.5, 2.0, size=n),
                   rng.uniform(0.5, 2.0, size=(batch, n))):
             uk = np.broadcast_to(u, x.shape)
-            want_qe = np.empty_like(x)
-            want_pwch = np.empty_like(x)
-            for k in range(batch):
-                d = props.pair_matrix(x[k], uk[k])
-                want_pwch[k] = (d * d).sum(axis=-1) / (n - 1)
-                want_qe[k] = np.median(np.abs(d[off].reshape(n, n - 1)),
-                                       axis=1)
+            d = props.pair_matrix(x, uk)
+            want_pwch = (d * d).sum(axis=-1) / (n - 1)
+            partners = np.abs(d[:, off].reshape(batch, n, n - 1))
+            want_qe = np.array([np.median(a, axis=1) for a in partners])
             assert np.array_equal(qe_values(x, u), want_qe)
             assert np.array_equal(pwch_values(x, u), want_pwch)
             shaped = (3, step, n)

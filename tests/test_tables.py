@@ -202,6 +202,9 @@ class TestPersistence:
             load_table(path)
         head = "# parity: even\nknots,0.0,0.5,1.0\n"
         for body, message in (
+                # float() reads "_" separators; a table may not
+                ("4,0.0,0.9_5,1.0\n", r":3: unparseable number"),
+                ("4_0,0.0,0.5,1.0\n", r":3: size '4_0' is not an integer"),
                 ("four,0.0,0.5,1.0\n", r":3: size 'four' is not an integer"),
                 ("4.5,0.0,0.5,1.0\n", r":3: size '4\.5' is not an integer"),
                 ("2,0.0,0.5,1.0\n", r":3: size '2' is not an integer >= 3"),
