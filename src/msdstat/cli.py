@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, BootstrapRow, bootstrap_msd
-from .datasets import load_study
+from .datasets import _ascii, load_study
 from .distribution import _parity
 from .errors import ConvergenceError, MsdError
 from .simulation import (simulate_hetero_guideline, simulate_multi_quantiles,
@@ -57,6 +57,41 @@ def entrypoint():
     """
 
 
+class _Ascii(click.ParamType):
+    """A click number type that first refuses, as study and table files do,
+    a string holding ``_`` or a non-ASCII character; the help text is the
+    wrapped type's."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str):
+            try:
+                _ascii(value)
+            except ValueError:
+                self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
+        return super().convert(value, param, ctx)
+
+
+class _Int(_Ascii, click.types.IntParamType):
+    pass
+
+
+class _Float(_Ascii, click.types.FloatParamType):
+    pass
+
+
+class _IntRange(_Ascii, click.IntRange):
+    pass
+
+
+class _FloatRange(_Ascii, click.FloatRange):
+    pass
+
+
+_INT = _Int()
+_N = _IntRange(min=3)
+_P = _FloatRange(0.0, 1.0, min_open=True, max_open=True)
+
+
 def _dump_json(doc) -> str:
     # JSON has no inf or nan; a round trip through the parser turns them
     # into strings, and finite floats round-trip exactly
@@ -83,9 +118,9 @@ def _mark(flag: bool) -> str:
 
 @entrypoint.command()
 @click.argument("input_path", type=click.Path(dir_okay=False, path_type=Path))
-@click.option("--bootstrap", "bootstrap_b", type=int, default=0,
+@click.option("--bootstrap", "bootstrap_b", type=_INT, default=0,
               help="Bootstrap replicates; 0 disables the bootstrap block.")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=_INT, default=0, show_default=True,
               help="Random seed for the bootstrap.")
 @click.option("--mode", type=click.Choice(["single", "multiple"]),
               default="multiple", show_default=True,
@@ -167,9 +202,9 @@ def analyze(input_path, bootstrap_b, seed, mode, tables, fmt):
 
 @entrypoint.command("bootstrap")
 @click.argument("input_path", type=click.Path(dir_okay=False, path_type=Path))
-@click.option("-B", "--replicates", type=int,
+@click.option("-B", "--replicates", type=_INT,
               default=BootstrapConfig.replicates, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_INT, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
               default="text", show_default=True)
 def bootstrap_cmd(input_path, replicates, seed, fmt):
@@ -205,10 +240,9 @@ def bootstrap_cmd(input_path, replicates, seed, fmt):
 
 
 @entrypoint.command("quantile")
-@click.option("--n", type=click.IntRange(min=3), required=True,
+@click.option("--n", type=_N, required=True,
               help="Number of observations in the study.")
-@click.option("--p", type=click.FloatRange(0.0, 1.0, min_open=True,
-                                           max_open=True), required=True)
+@click.option("--p", type=_P, required=True)
 @click.option("--mode", type=click.Choice(["single", "multiple"]),
               default="multiple", show_default=True,
               help="'multiple' adjusts p for a whole-dataset screen.")
@@ -239,7 +273,7 @@ def tables_generate(out):
 
 def _parse_grid(ctx, param, value):
     try:
-        lo, hi, step = (float(t) for t in value.split(":"))
+        lo, hi, step = (float(_ascii(t)) for t in value.split(":"))
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise ValueError
         return tuple(np.arange(lo, hi + 0.5 * step, step))
@@ -252,7 +286,7 @@ def _parse_grid(ctx, param, value):
 
 def _parse_sizes(ctx, param, value):
     try:
-        return tuple(int(t) for t in value.split(","))
+        return tuple(int(_ascii(t)) for t in value.split(","))
     except ValueError:
         raise click.BadParameter("expected a comma-separated list of sizes")
 
@@ -267,12 +301,10 @@ def simulate():
 
 
 @simulate.command("table3")
-@click.option("--n", type=click.IntRange(min=3), required=True)
-@click.option("--p", type=click.FloatRange(0.0, 1.0, min_open=True,
-                                           max_open=True), default=0.95,
-              show_default=True)
-@click.option("--replicates", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--n", type=_N, required=True)
+@click.option("--p", type=_P, default=0.95, show_default=True)
+@click.option("--replicates", type=_INT, default=100_000, show_default=True)
+@click.option("--seed", type=_INT, default=0, show_default=True)
 def simulate_table3(n, p, replicates, seed):
     """Empirical multiple-observation critical value for one study size."""
     (est,) = simulate_multi_quantiles(n, (p,), replicates, seed)
@@ -289,11 +321,10 @@ def _grid_study(kind, runner, grid, grid_help, doc):
                   show_default=True, help=grid_help)
     @click.option("--stat", "statistic", type=click.Choice(["msd", "pwch"]),
                   default="msd", show_default=True)
-    @click.option("--n", type=click.IntRange(min=3), default=10,
-                  show_default=True)
-    @click.option("--replicates", type=int, default=10_000, show_default=True)
-    @click.option("--seed", type=int, default=0, show_default=True)
-    @click.option("--critical", type=float, default=None,
+    @click.option("--n", type=_N, default=10, show_default=True)
+    @click.option("--replicates", type=_INT, default=10_000, show_default=True)
+    @click.option("--seed", type=_INT, default=0, show_default=True)
+    @click.option("--critical", type=_Float(), default=None,
                   help="Detection threshold (default: the 95% critical value, "
                        "exact for msd, self-calibrated for pwch).")
     def command(grid, statistic, n, replicates, seed, critical):
@@ -319,8 +350,8 @@ _grid_study("resistance", simulate_resistance, "-8:8:1",
 @simulate.command("hetero")
 @click.option("--sizes", callback=_parse_sizes, default="5,10,15,20,25",
               show_default=True)
-@click.option("--replicates", type=int, default=10_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--replicates", type=_INT, default=10_000, show_default=True)
+@click.option("--seed", type=_INT, default=0, show_default=True)
 def simulate_hetero(sizes, replicates, seed):
     """Rule-of-thumb exceedance rates under chi-squared(3) variances."""
     study = simulate_hetero_guideline(sizes, replicates, seed)

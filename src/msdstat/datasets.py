@@ -14,11 +14,17 @@ from .statistic import Dataset, Observation
 _HEADER = ("lab", "value", "u")
 
 
-def _decimal(text: str) -> float:
-    """``float(text)``, refusing the non-ASCII digits and ``_`` it reads."""
+def _ascii(text: str) -> str:
+    """``text``, or a ValueError if it holds ``_`` or a non-ASCII character:
+    the one rule for a number read from a file or the command line, as
+    ``int`` and ``float`` would read both."""
     if not text.isascii() or "_" in text:
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
+        raise ValueError(f"not an ASCII number without '_': {text!r}")
+    return text
+
+
+def _decimal(text: str) -> float:
+    return float(_ascii(text))
 
 
 def _parse_study(lines, origin: str) -> tuple[Observation, ...]:

@@ -8,6 +8,8 @@ comparator over the same differences is provided for power studies.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -86,12 +88,31 @@ class MsdResult:
         return {lab: float(q) for lab, q in zip(self.labels, self.q_e)}
 
 
-# Pair elements in the one buffer a batch call reuses for every slice
-# (0.5 MiB of float64). A u shared by every dataset adds the scale matrix
-# of the scored rows against all n labs, once per call; a u per dataset
-# adds a second buffer of this size for each slice's scales. Either way
-# the working set stays fixed however many datasets the kernels score.
+# Pair elements in flight in one batch call, across all its workers (0.5
+# MiB of float64): each worker reuses one buffer of BUDGET // workers
+# elements for every unit it scores. A u shared by every dataset adds the
+# scale matrix of the scored rows against all n labs, once per call, when
+# those rows fit one buffer; otherwise each worker builds its scales unit by
+# unit in a second buffer of its size. Either way the working set stays
+# fixed however many datasets the kernels score, and grows only as O(n)
+# with the size of one dataset.
 BUDGET = 1 << 16
+
+# The least work, in pair elements, for one worker's unit, so no call uses
+# more than BUDGET // _UNIT_FLOOR = 2 workers. Every unit holds some Python
+# work under the GIL, and smaller units lose to it: at n = 100 and 4096
+# datasets on two CPUs, units of at most 2**14 elements took 247 ms on two
+# threads and 335 ms on four, against 134 ms for 2**15 on two and 174 ms
+# inline. Two workers confined to one CPU took 6-10% longer than one.
+_UNIT_FLOOR = 1 << 15
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _median_abs(d: np.ndarray, i, j) -> np.ndarray:
@@ -143,44 +164,97 @@ def _rescaled(x: np.ndarray, u: np.ndarray):
 
 def _sliced(kernel, x, u, rows=None) -> np.ndarray:
     """Run ``kernel`` on the scaled differences of ``rows`` (every
-    observation by default) against all partners, for max(1, BUDGET //
-    (len(rows) * n)) datasets at a time.
+    observation by default) against all partners.
 
-    Each slice's differences are written into one buffer allocated per
-    call, which ``kernel`` may overwrite; its result is copied out before
-    the next slice. The scales sqrt(u_i**2 + u_j**2) form one matrix per
-    call when ``u`` is one row shared by every dataset, and are built in a
-    second buffer, slice by slice, when ``u`` differs per dataset.
+    The work is cut into units, a slice of datasets by a chunk of rows,
+    of at most BUDGET // workers pair elements (one row when n alone is
+    larger). A call of more than 2 * BUDGET pair elements has one worker
+    per CPU the process may use, up to BUDGET // _UNIT_FLOOR: the calling
+    thread and workers - 1 threads started for the call take the units in
+    turn, each under the caller's numpy error state, and write each unit's
+    scores into its own rows of the result. A smaller call, such as a
+    single study of up to 362 labs or a power run's subject row at n = 20,
+    runs inline and starts no thread.
+
+    Each worker writes a unit's differences into its own buffer, which
+    ``kernel`` may overwrite, and copies the result out before its next
+    unit. The scales sqrt(u_i**2 + u_j**2) form one matrix per call when
+    ``u`` is one row shared by every dataset and the rows fit one chunk;
+    otherwise each worker builds them unit by unit in a second buffer.
+    Every score depends only on its own row's differences, so it is the
+    same bit for bit whichever worker computes it, and for any worker
+    count.
     """
     x, u = _rescaled(np.asarray(x, dtype=float),
                      np.atleast_1d(np.asarray(u, dtype=float)))
     shape = np.broadcast_shapes(x.shape, u.shape)
     n = shape[-1]
     rows = np.arange(n) if rows is None else np.asarray(rows)
-    self_pairs = (np.arange(rows.size), rows)
     flat_x = np.broadcast_to(x, shape).reshape(-1, n)
-    step = max(1, BUDGET // (rows.size * n))
-    buf = np.empty((min(step, len(flat_x)), rows.size, n))
+    most = min(_cpus(), BUDGET // _UNIT_FLOOR)
+    # a thread takes about 0.1 ms to start and join, more than it saves on
+    # a call of up to two buffers
+    workers = most if len(flat_x) * rows.size * n > 2 * BUDGET else 1
+    share = BUDGET // workers
+    chunk = min(rows.size, max(1, share // n))
+    step = max(1, share // (chunk * n))
+    units = [(slice(lo, lo + step), slice(r, r + chunk))
+             for lo in range(0, len(flat_x), step)
+             for r in range(0, rows.size, chunk)]
     shared = u.ndim == 1
     if shared:
         u2 = np.broadcast_to(u, (n,)) ** 2
-        scale = np.sqrt(u2[rows, None] + u2)
     else:
         flat_u = np.broadcast_to(u, shape).reshape(-1, n)
-        scale_buf = np.empty_like(buf)
+    # one scale matrix serves every unit when the rows fit one chunk
+    scale = (np.sqrt(u2[rows, None] + u2) if shared and chunk == rows.size
+             else None)
     out = np.empty((len(flat_x), rows.size))
-    for lo in range(0, len(flat_x), step):
-        sl = slice(lo, lo + step)
-        xs = flat_x[sl]
-        d = buf[:len(xs)]
-        if not shared:
-            u2 = flat_u[sl] ** 2
-            scale = scale_buf[:len(xs)]
-            np.sqrt(np.add(u2[:, rows, None], u2[:, None, :], out=scale),
-                    out=scale)
-        np.copyto(d, xs[:, rows, None])
-        np.divide(np.subtract(d, xs[:, None, :], out=d), scale, out=d)
-        out[sl] = kernel(d, *self_pairs)
+
+    # each worker takes the next unit as it frees up; next() on a list
+    # iterator hands every unit to one worker
+    todo = iter(units)
+    err, failed = np.geterr(), []
+
+    def score():
+        size = min(step, len(flat_x)) * chunk * n
+        buf = np.empty(size)
+        scale_buf = None if scale is not None else np.empty(size)
+        with np.errstate(**err):
+            for sl, rs in todo:
+                xs, chosen = flat_x[sl], rows[rs]
+                d = buf[:xs.shape[0] * chosen.size * n].reshape(
+                    xs.shape[0], chosen.size, n)
+                s = scale
+                if s is None:
+                    s = scale_buf[:d.size].reshape(d.shape)
+                    if shared:
+                        np.add(u2[chosen, None], u2, out=s)
+                    else:
+                        us = flat_u[sl] ** 2
+                        np.add(us[:, chosen, None], us[:, None, :], out=s)
+                    np.sqrt(s, out=s)
+                np.copyto(d, xs[:, chosen, None])
+                np.divide(np.subtract(d, xs[:, None, :], out=d), s, out=d)
+                out[sl, rs] = kernel(d, np.arange(chosen.size), chosen)
+
+    def helper():
+        try:
+            score()
+        except BaseException as exc:  # raised again in the caller
+            failed.append(exc)
+
+    helpers = [threading.Thread(target=helper)
+               for _ in range(min(workers, len(units)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        score()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise failed[0]
     return out.reshape(shape[:-1] + (rows.size,))
 
 

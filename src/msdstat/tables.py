@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from .datasets import _decimal
+from .datasets import _ascii, _decimal
 from .distribution import (_ODD_EXACT_LIMIT, _check_n, _parity, _validate_p,
                            _validate_q, cdf, quantile)
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
@@ -261,8 +261,8 @@ def load_table(path) -> QuantileTable:
             where["knots"] = lineno
             continue
         try:
-            size = math.inf if head == "inf" else float(int(head))
-            if size < 3 or "_" in head:
+            size = math.inf if head == "inf" else float(int(_ascii(head)))
+            if size < 3:
                 raise ValueError
         except (ValueError, OverflowError):
             raise DataError(f"{origin}:{lineno}: size {head!r} is not an "

@@ -575,45 +575,60 @@ class TestExitCodeMapping:
 
 
 # Runs msd commands one after another in a fresh interpreter and prints,
-# as its last line, the scipy modules loaded after the import and after
-# each command.
+# for the import and after each command, the scipy modules loaded,
+# whether concurrent.futures is loaded, whether a second thread runs, and
+# the command's own stdout.
 _COLD_CHILD = """
-import json, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import io, json, sys, threading
+from contextlib import redirect_stdout
+def state(printed=""):
+    return {"scipy": sorted(m for m in sys.modules
+                            if m.split(".")[0] == "scipy"),
+            "futures": "concurrent.futures" in sys.modules,
+            "threads": threading.active_count() > 1,
+            "stdout": printed}
 from msdstat.cli import entrypoint
-loaded = {"import msdstat.cli": scipy_modules()}
+loaded = {"import msdstat.cli": state()}
 for args in json.loads(sys.argv[1]):
+    printed = io.StringIO()
     try:
-        entrypoint(args, prog_name="msd")
+        with redirect_stdout(printed):
+            entrypoint(args, prog_name="msd")
     except SystemExit as exc:
         assert not exc.code, (args, exc.code)
-    loaded[" ".join(args)] = scipy_modules()
+    loaded[" ".join(args)] = state(printed.getvalue())
 print(json.dumps(loaded))
 """
 
 
 class TestColdStart:
     def test_scipy_is_loaded_only_by_exact_cdfs(self, study_path):
+        # scipy comes with the exact cdfs alone, and concurrent.futures
+        # with scipy; the kernel's threads live only inside a batch call,
+        # so no command leaves one running
         package = Path(msdstat.__file__).resolve().parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(package.parent), env.get("PYTHONPATH")]))
-        no_scipy = [
-            ["bootstrap", str(study_path)],
+        single = [
             ["analyze", str(study_path), "--tables", str(package / "data")],
             ["quantile", "--n", "13", "--p", "0.95", "--method", "table"],
         ]
+        replicates = ["bootstrap", str(study_path)]
         exact = ["quantile", "--n", "13", "--p", "0.95"]
         out = subprocess.run(
-            [sys.executable, "-c", _COLD_CHILD, json.dumps(no_scipy + [exact])],
+            [sys.executable, "-c", _COLD_CHILD,
+             json.dumps(single + [replicates, exact])],
             env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        *printed, last = out.stdout.splitlines()
-        loaded = json.loads(last)
+        loaded = json.loads(out.stdout)
+        assert not any(s["threads"] for s in loaded.values())
         exact_loaded = loaded.pop(" ".join(exact))
-        assert "scipy.special" in exact_loaded
-        assert "scipy.optimize" not in exact_loaded
-        assert loaded == {k: [] for k in loaded}
-        assert len(loaded) == 1 + len(no_scipy)
-        assert printed[-2:] == ["2.15528", "2.15521"]
+        assert "scipy.special" in exact_loaded["scipy"]
+        assert "scipy.optimize" not in exact_loaded["scipy"]
+        assert exact_loaded["stdout"] == "2.15521\n"
+        assert loaded.pop(" ".join(replicates))["scipy"] == []
+        assert len(loaded) == 1 + len(single)
+        assert all(s["scipy"] == [] and not s["futures"]
+                   for s in loaded.values())
+        assert loaded[" ".join(single[1])]["stdout"] == "2.15528\n"

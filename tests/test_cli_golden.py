@@ -81,6 +81,11 @@ COMMANDS = [cmd + ["--help"] for cmd in _HELP] + [
     ["tables", "generate", "--max-n", "8", "--out", "{tmp}/tables"],
     ["simulate", "table3", "--n", "7", "--replicates", "1000",
      "--out", "{tmp}/table3.csv"],
+    # numbers on the command line follow the study-file rule: no "_" and
+    # no non-ASCII digits, though int() and float() read both
+    ["quantile", "--n", "1_3", "--p", "0.9_5"],
+    ["simulate", "hetero", "--sizes", "\uff11\uff10"],
+    ["simulate", "power", "--grid", "0:1_0:5"],
     # exit 3: input and validation errors
     ["analyze", "{tmp}/missing.csv"],
     ["analyze", "{odd}", "--bootstrap", "50"],

@@ -1,5 +1,11 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -12,7 +18,9 @@ from msdstat import (
     Observation,
     bootstrap_msd,
     msd,
+    statistic,
 )
+from msdstat.datasets import conductivity_study
 from msdstat.statistic import (
     BUDGET,
     _mean_square,
@@ -251,6 +259,194 @@ class TestBatchSlices:
             assert peak < 32 * 2 ** 20
             assert peak - got.nbytes < bound * 2 ** 20
 
+    def test_single_studies_match_per_row_median(self, monkeypatch):
+        # one study at every n up to 600, on 1, 2 and 3 workers in turn:
+        # past sqrt(BUDGET // workers) labs its rows are scored in chunks,
+        # and every chunk must give the reference's bits
+        monkeypatch.setattr(statistic, "_UNIT_FLOOR", BUDGET // 3)
+        rng = np.random.default_rng(600)
+        for n in range(3, 601):
+            monkeypatch.setattr(statistic, "_cpus", lambda: 1 + n % 3)
+            x = rng.normal(size=n)
+            u = rng.uniform(0.5, 2.0, size=n)
+            d = props.pair_matrix(x, u)
+            partners = np.abs(d[~np.eye(n, dtype=bool)].reshape(n, n - 1))
+            assert np.array_equal(qe_values(x, u),
+                                  np.median(partners, axis=1)), n
+            assert np.array_equal(pwch_values(x, u),
+                                  (d * d).sum(axis=-1) / (n - 1)), n
+
+    def test_one_large_study_in_bounded_memory(self, monkeypatch):
+        # n = 4,000 on two workers scores in row chunks: two 0.5 MiB
+        # buffers (differences and scales) plus O(n), where one n x n
+        # matrix took 366 MiB
+        monkeypatch.setattr(statistic, "_cpus", lambda: 2)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=4000)
+        u = rng.uniform(0.5, 2.0, size=4000)
+        for kernel in (qe_values, pwch_values):
+            tracemalloc.start()
+            try:
+                kernel(x, u)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 2 ** 20
+
+
+def _report_in_child(conn, ds, cfg):
+    conn.send(bootstrap_msd(ds, cfg))
+    conn.close()
+
+
+class TestWorkers:
+    """A batch call's units, scored on threads started beside the caller,
+    give the caller's answer, under the caller's error state, and no
+    thread outlives the call."""
+
+    @pytest.fixture()
+    def workers(self, monkeypatch):
+        def patch(k):
+            monkeypatch.setattr(statistic, "_cpus", lambda: k)
+        return patch
+
+    @pytest.fixture()
+    def started(self, monkeypatch):
+        # the number of threads each batch call starts, call by call
+        counts = []
+
+        def counted(*args, **kwargs):
+            counts[-1] += 1
+            return threading.Thread(*args, **kwargs)
+
+        def call(fn, *args, **kwargs):
+            counts.append(0)
+            fn(*args, **kwargs)
+            return counts[-1]
+
+        monkeypatch.setattr(statistic, "threading",
+                            types.SimpleNamespace(Thread=counted))
+        return call
+
+    def test_any_worker_count_gives_the_same_bits(self, workers,
+                                                  monkeypatch):
+        # every batch, rows=(0,) too, is large enough for threads and spans
+        # several units at 2 and 3 workers
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(2 * BUDGET // 11 + 5, 11))
+        u_lab = rng.uniform(0.5, 2.0, size=11)
+        u_set = rng.uniform(0.5, 2.0, size=x.shape)
+        tied = np.ones((2 * BUDGET // 16 + 5, 4))
+        tied[::3, 3] = 2.0
+        u_tied = np.array([1e-320] * 3 + [1e300])
+        scaled = x.copy(), u_set.copy()
+        scaled[0][1::2] *= 2.0 ** 700
+        scaled[1][1::2] *= 2.0 ** 700
+        scaled[0][::4] *= 2.0 ** -700
+        scaled[1][::4] *= 2.0 ** -700
+        cases = [(x, u_lab, None), (x, u_set, None), (x, u_lab, (0,)),
+                 (x, u_set, (3, 0)), (tied, u_tied, None), (*scaled, None)]
+
+        def scores():
+            with np.errstate(all="ignore"):
+                return [_sliced(kernel, xs, us, rows=rows)
+                        for xs, us, rows in cases
+                        for kernel in (_median_abs, _mean_square)]
+
+        workers(1)
+        want = scores()
+        assert np.isnan(want[8]).any()
+        # 8 workers on fewer CPUs, allowed by a smaller unit floor and
+        # switching threads every microsecond, must still score every unit
+        # once and nowhere else
+        monkeypatch.setattr(statistic, "_UNIT_FLOOR", BUDGET // 8)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for k in (2, 3, 8):
+                workers(k)
+                for got, ref in zip(scores(), want):
+                    assert np.array_equal(got, ref, equal_nan=True), k
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_small_calls_run_inline_and_large_ones_on_few_threads(
+            self, workers, started):
+        # a call of up to 2 * BUDGET pair elements starts no thread: a single
+        # study up to n = 362 and a power run's subject row at n = 20; a
+        # larger one uses at most BUDGET // _UNIT_FLOOR = 2 workers, however
+        # many CPUs there are, and one CPU runs every call inline
+        rng = np.random.default_rng(18)
+        workers(64)
+        subject = rng.normal(size=(4096, 20))
+        assert started(_sliced, _median_abs, subject, np.ones(20),
+                       rows=(0,)) == 0
+        assert started(qe_values, rng.normal(size=362), np.ones(362)) == 0
+        assert started(qe_values, rng.normal(size=363), np.ones(363)) == 1
+        assert started(qe_values, rng.normal(size=(4096, 100)),
+                       np.ones(100)) == 1
+        workers(1)
+        assert started(qe_values, rng.normal(size=(4096, 100)),
+                       np.ones(100)) == 0
+
+    def test_no_thread_outlives_a_call(self, workers):
+        before = threading.active_count()
+        x = np.random.default_rng(7).normal(size=(4096, 30))
+        for k in (3, 2, 8, 1):
+            workers(k)
+            qe_values(x, np.ones(30))
+            assert threading.active_count() == before, k
+
+    def test_workers_keep_the_callers_error_state(self, workers):
+        # 0/0 partners in every unit: the other threads must ignore them as
+        # the caller asked, not warn, and raise where the caller asks that
+        workers(2)
+        x = np.ones((BUDGET, 4))
+        u = np.array([1e-320] * 3 + [1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                got = qe_values(x, u)
+        assert np.isnan(got[:, :3]).all() and (got[:, 3] == 0.0).all()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            qe_values(x, u)
+
+    def test_an_error_in_another_thread_reaches_the_caller(self, workers):
+        # the caller dawdles over its units, so the other thread scores some
+        main = threading.current_thread()
+
+        def kernel(d, i, j):
+            if threading.current_thread() is main:
+                time.sleep(1e-3)
+                return _mean_square(d, i, j)
+            raise ZeroDivisionError("in a worker")
+
+        workers(2)
+        with pytest.raises(ZeroDivisionError, match="in a worker"):
+            _sliced(kernel, np.ones((4096, 30)), np.ones(30))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_scores_after_the_parent(self, workers):
+        # a pool of threads kept across calls would not survive fork, and
+        # the child's first batch call would wait on it forever
+        workers(2)
+        ds, cfg = conductivity_study(), BootstrapConfig(replicates=1000)
+        want = bootstrap_msd(ds, cfg)
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_report_in_child, args=(writer, ds, cfg))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(60), "the child hung on its first batch call"
+            got = reader.recv()
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            child.kill()
+            child.join()
+        assert got == want
+
 
 class TestExtremeScales:
     @pytest.mark.parametrize("k", [700, -700])
@@ -298,8 +494,8 @@ class TestExtremeScales:
     @pytest.mark.parametrize("n", [5, 7])
     def test_odd_n_median_with_nan_partners(self, n):
         # k tied labs with u = 1e-320 make k - 1 partners 0/0 = nan for
-        # each other; the one-partition median must equal a sort-based
-        # one, nan last, for every k
+        # each other; the kernel's median must equal np.sort's central
+        # order statistics, nan last, for every k
         rng = np.random.default_rng(n)
         for k in range(n + 1):
             x = np.concatenate([np.ones(k), rng.normal(size=n - k) * 1e298])
