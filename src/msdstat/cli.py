@@ -1,11 +1,12 @@
 """Command-line surface for the pairwise median scaled difference toolkit.
 
 Exit codes: 0 success, 2 usage errors, 3 input/validation problems
-(including unreadable paths and an unwritable ``tables generate --out``
-directory), 4 numeric failures. The root group maps library errors onto
-these codes for every command, the ``tables`` and ``simulate``
-subcommands included. The ``simulate`` commands print their delimited
-text on stdout only; a shell redirection saves it.
+(including unreadable paths, an unwritable ``tables generate --out``
+directory and a ``tables generate`` worker process that dies), 4 numeric
+failures. The root group maps library errors onto these codes for every
+command, the ``tables`` and ``simulate`` subcommands included. The
+``simulate`` commands print their delimited text on stdout only; a shell
+redirection saves it.
 """
 from __future__ import annotations
 
@@ -265,9 +266,12 @@ def tables():
 def tables_generate(out):
     """Rebuild the interpolation tables from the exact distribution."""
     out.mkdir(parents=True, exist_ok=True)
-    for parity in ("even", "odd"):
+    # both tables are built before either is written, so a failed build
+    # writes no table
+    built = {parity: build_table(parity) for parity in ("even", "odd")}
+    for parity, table in built.items():
         path = out / _table_file(parity)
-        save_table(build_table(parity), path)
+        save_table(table, path)
         click.echo(f"wrote {path}")
 
 

@@ -18,7 +18,10 @@ tangents of its one row, tabulated or synthesized, the same way.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -30,6 +33,7 @@ from .distribution import (_ODD_EXACT_LIMIT, _check_n, _parity, _validate_p,
                            _validate_q, cdf, quantile)
 from .errors import ConvergenceError, DataError, DomainError, TableRangeError
 from .numerics import find_root
+from .statistic import _cpus
 
 # Extra knot: left support bound of the limiting distribution, at the
 # table's own 3-digit precision.
@@ -161,7 +165,20 @@ def build_table(parity: str, max_n: int | None = None) -> QuantileTable:
 
     ``max_n`` truncates the finite sizes; the table then serves sizes above
     its last row across the gap to n = inf, missing ``cdf`` by up to 2.7e-3
-    (``max_n=16`` even at n = 100, ``max_n=15`` odd at n = 31 and 99)."""
+    (``max_n=16`` even at n = 100, ``max_n=15`` odd at n = 31 and 99).
+
+    A build of ``_POOL_MIN_ROWS`` rows or more forks two worker processes
+    for the call on Linux, when the process may use two or more CPUs, runs
+    one thread and is not a daemonic ``multiprocessing`` child (which may
+    not start children). Native threads count: numpy's OpenBLAS keeps one
+    per extra CPU unless ``OPENBLAS_NUM_THREADS=1``, so an unpinned process
+    builds inline, as a fork beside a live thread can deadlock. The caller
+    computes the first row, so the workers inherit its lazy set-up, and the
+    workers the rest; both are gone before the call returns. If no worker
+    can start, the caller computes the rest itself. A row depends only on
+    its size, so the table is the same bit for bit either way. A quadrature
+    failure raises ``ConvergenceError`` naming the row's n and q wherever
+    it ran; a worker that dies raises ``ChildProcessError``."""
     _check_parity(parity)
     sizes = EVEN_SIZES if parity == "even" else ODD_SIZES
     if max_n is not None:
@@ -171,7 +188,65 @@ def build_table(parity: str, max_n: int | None = None) -> QuantileTable:
     sizes += (math.inf,)
     t_knots = knot_grid()
     return QuantileTable(parity, sizes, t_knots,
-                         np.vstack([_build_row(n, t_knots) for n in sizes]))
+                         np.vstack(_build_rows(sizes, t_knots)))
+
+
+# The fewest rows worth the pool. Starting and stopping two forked workers
+# costs about 10 ms, which the cheapest rows, the even ones at 3-7 ms each,
+# win back at about 12 rows: 25 ms inline against 30 ms pooled at 10 rows,
+# 32 against 34 at 12 and 44 against 39 at 15. Odd rows cost 30-100 ms, and
+# 5 of them took 127 ms inline against 107 ms pooled (medians of 5, 2-vCPU
+# x86-64). Two workers, as in the statistic kernel: more are unmeasured.
+# Like the kernel, the count follows the affinity mask, not a cgroup CPU
+# quota: under a one-CPU quota the build still forks two workers, which
+# cost about 10% more CPU time than inline for no gain (ROADMAP item 18).
+_POOL_MIN_ROWS = 12
+
+
+def _build_rows(sizes, t_knots: np.ndarray) -> list[np.ndarray]:
+    """``_build_row`` of each size, in size order, under ``build_table``'s
+    rule for when two forked workers compute them."""
+    mp = sys.modules.get("multiprocessing")
+    if (_cpus() < 2 or len(sizes) < _POOL_MIN_ROWS
+            or sys.platform != "linux" or not _alone()
+            or mp is not None and mp.current_process().daemon):
+        return [_build_row(n, t_knots) for n in sizes]
+    import multiprocessing
+    from concurrent.futures.process import (BrokenProcessPool,
+                                            ProcessPoolExecutor)
+
+    rows = [_build_row(sizes[0], t_knots)]
+    before = set(multiprocessing.active_children())
+    pool = None
+    try:
+        try:
+            pool = ProcessPoolExecutor(
+                2, mp_context=multiprocessing.get_context("fork"))
+            rest = pool.map(_build_row, sizes[1:], itertools.repeat(t_knots))
+        except OSError:
+            # a process, memory or file limit refused the pool: a worker
+            # that did start would wait forever, so it is stopped
+            for child in set(multiprocessing.active_children()) - before:
+                child.terminate()
+                child.join()
+            rest = (_build_row(n, t_knots) for n in sizes[1:])
+        return rows + list(rest)
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a table build worker died: {exc}") from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _alone() -> bool:
+    """Whether this process runs one thread, native ones included (a BLAS
+    pool, faulthandler's watchdog), which ``threading`` does not list but
+    CPython 3.12+ counts before it warns that a fork may deadlock; False
+    when ``/proc`` cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
 
 def _build_row(n, t_knots: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, exit codes, routing, and reproducibility."""
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import msdstat
-from msdstat import DataError
+from msdstat import DataError, distribution, tables
 from msdstat.cli import entrypoint
 from msdstat.datasets import conductivity_study, load_study
 from msdstat.errors import ConvergenceError
@@ -365,6 +366,29 @@ class TestTablesGenerate:
         assert result.exit_code == 3
 
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="the build forks only on Linux")
+    def test_a_dying_build_worker_exits_3_and_writes_nothing(
+            self, runner, tmp_path, monkeypatch):
+        # the even table is built; a worker of the odd build dies
+        caller = os.getpid()
+
+        def cdf_dying_in_a_worker(q, n):
+            if n % 2 == 1 and os.getpid() != caller:
+                os._exit(1)
+            return distribution.cdf(q, n)
+
+        monkeypatch.setattr(tables, "cdf", cdf_dying_in_a_worker)
+        monkeypatch.setattr(tables, "_cpus", lambda: 2)
+        monkeypatch.setattr(tables, "_alone", lambda: True)
+        out = tmp_path / "tables"
+        result = runner.invoke(entrypoint, ["tables", "generate", "--out",
+                                            str(out)])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: a table build worker died: ")
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
 class TestSimulateCmds:
     def test_table3_value_and_reproducibility(self, runner):
         args = ["simulate", "table3", "--n", "10", "--p", "0.95",
@@ -585,6 +609,7 @@ def state(printed=""):
     return {"scipy": sorted(m for m in sys.modules
                             if m.split(".")[0] == "scipy"),
             "futures": "concurrent.futures" in sys.modules,
+            "multiprocessing": "multiprocessing" in sys.modules,
             "threads": threading.active_count() > 1,
             "stdout": printed}
 from msdstat.cli import entrypoint
@@ -605,7 +630,8 @@ class TestColdStart:
     def test_scipy_is_loaded_only_by_exact_cdfs(self, study_path):
         # scipy comes with the exact cdfs alone, and concurrent.futures
         # with scipy; the kernel's threads live only inside a batch call,
-        # so no command leaves one running
+        # so no command leaves one running; multiprocessing comes only with
+        # a table build large enough to fork, which no command here makes
         package = Path(msdstat.__file__).resolve().parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -616,13 +642,19 @@ class TestColdStart:
         ]
         replicates = ["bootstrap", str(study_path)]
         exact = ["quantile", "--n", "13", "--p", "0.95"]
+        # the rest of the benchmark's cold commands, after scipy is loaded
+        later = [["quantile", "--n", "12", "--p", "0.95"],
+                 ["analyze", str(study_path), "--bootstrap", "500"]]
         out = subprocess.run(
             [sys.executable, "-c", _COLD_CHILD,
-             json.dumps(single + [replicates, exact])],
+             json.dumps(single + [replicates, exact] + later)],
             env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         loaded = json.loads(out.stdout)
-        assert not any(s["threads"] for s in loaded.values())
+        assert not any(s["threads"] or s["multiprocessing"]
+                       for s in loaded.values())
+        for args in later:
+            loaded.pop(" ".join(args))
         exact_loaded = loaded.pop(" ".join(exact))
         assert "scipy.special" in exact_loaded["scipy"]
         assert "scipy.optimize" not in exact_loaded["scipy"]

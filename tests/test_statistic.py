@@ -425,6 +425,15 @@ class TestWorkers:
         with pytest.raises(ZeroDivisionError, match="in a worker"):
             _sliced(kernel, np.ones((4096, 30)), np.ones(30))
 
+    def test_cpus_without_an_affinity_call(self, monkeypatch):
+        # where os has no sched_getaffinity the count is os.cpu_count(), and
+        # one CPU when that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert statistic._cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert statistic._cpus() == 1
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_scores_after_the_parent(self, workers):
         # a pool of threads kept across calls would not survive fork, and

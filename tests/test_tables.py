@@ -1,6 +1,11 @@
+import faulthandler
 import gc
 import math
+import multiprocessing
+import os
 import re
+import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -110,6 +115,207 @@ class TestBuild:
             assert shipped.sizes == fresh.sizes
             assert np.array_equal(shipped.knots_t, fresh.knots_t)
             assert np.array_equal(shipped.probs, fresh.probs)
+
+
+@pytest.fixture()
+def rows_by_process(monkeypatch, tmp_path):
+    """Route ``tables.cdf`` through a recorder, in whichever process calls
+    it; the fixture reads back {pid: sizes whose cells that process
+    computed}."""
+    log = tmp_path / "cells"
+    log.mkdir()
+
+    def recorded(q, n):
+        with open(log / str(os.getpid()), "a") as fh:
+            fh.write(f"{n}\n")
+        return distribution.cdf(q, n)
+
+    monkeypatch.setattr(tables, "cdf", recorded)
+
+    def read():
+        found = {int(p.name): set(p.read_text().split()) for p in log.iterdir()}
+        for p in log.iterdir():
+            p.unlink()
+        return found
+    return read
+
+
+def _cpus(monkeypatch, k):
+    # the test process keeps native threads (the no_hang watchdog, BLAS's
+    # own pool), so a test that wants the pool also tells the guard it runs
+    # alone
+    monkeypatch.setattr(tables, "_cpus", lambda: k)
+    monkeypatch.setattr(tables, "_alone", lambda: True)
+
+
+def _no_fork(monkeypatch):
+    def refused():
+        raise AssertionError("the build forked")
+    monkeypatch.setattr(os, "fork", refused)
+
+
+def _in_a_child(fn, daemon=False):
+    """``fn()`` in a forked ``multiprocessing`` child, returned or failed
+    here."""
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def run():
+        try:
+            send.send((True, fn()))
+        except BaseException as exc:
+            send.send((False, repr(exc)))
+
+    child = ctx.Process(target=run, daemon=daemon)
+    child.start()
+    try:
+        assert receive.poll(100), "the child sent nothing"
+        ok, value = receive.recv()
+    finally:
+        child.join(10)
+    assert ok, value
+    return value
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the build forks only on Linux")
+class TestPooledBuild:
+    """Two forked workers compute a large build's rows, give the inline
+    build's bits, report its errors and leave no process or thread."""
+
+    @pytest.fixture(autouse=True)
+    def no_hang(self):
+        # a build that waits forever on a lost worker ends the run with a
+        # traceback instead
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    @pytest.mark.parametrize("parity, max_n", [("odd", 25), ("even", 30)])
+    def test_forked_rows_match_inline_rows(self, monkeypatch, rows_by_process,
+                                           parity, max_n):
+        _cpus(monkeypatch, 1)
+        inline = build_table(parity, max_n=max_n)
+        assert rows_by_process().keys() == {os.getpid()}
+        _cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        forked = build_table(parity, max_n=max_n)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        assert forked.sizes == inline.sizes
+        assert np.array_equal(forked.probs, inline.probs)
+        # the caller computes the first row, and the workers every other
+        ran = rows_by_process()
+        assert ran.pop(os.getpid()) == {str(inline.sizes[0])}
+        assert 1 <= len(ran) <= 2
+        assert set().union(*ran.values()) == {str(n) for n in inline.sizes[1:]}
+
+    def test_a_failure_in_a_worker_names_its_row(self, monkeypatch):
+        caller = os.getpid()
+
+        def cdf_failing_in_a_worker(q, n):
+            if n == 21 and q > 1.0 and os.getpid() != caller:
+                raise ConvergenceError("budget exhausted")
+            return distribution.cdf(q, n)
+
+        monkeypatch.setattr(tables, "cdf", cdf_failing_in_a_worker)
+        _cpus(monkeypatch, 2)
+        t = next(t for t in knot_grid() if t > 0.5)
+        with pytest.raises(ConvergenceError, match=re.escape(
+                f"table build failed at n=21, q={t / (1 - t):.6g}: "
+                "budget exhausted")):
+            build_table("odd", max_n=25)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_fails_the_build(self, monkeypatch):
+        caller = os.getpid()
+
+        def cdf_dying_in_a_worker(q, n):
+            if n == 21 and os.getpid() != caller:
+                os._exit(1)
+            return distribution.cdf(q, n)
+
+        monkeypatch.setattr(tables, "cdf", cdf_dying_in_a_worker)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError,
+                           match="a table build worker died: "):
+            build_table("odd", max_n=25)
+        assert multiprocessing.active_children() == []
+
+    def test_a_refused_fork_builds_inline(self, monkeypatch, rows_by_process):
+        # the first worker starts and the second meets a process limit: the
+        # first is stopped and the caller computes every row
+        _cpus(monkeypatch, 1)
+        inline = build_table("even", max_n=30)
+        rows_by_process()
+        forks = []
+
+        def second_refused():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", second_refused)
+        _cpus(monkeypatch, 2)
+        built = build_table("even", max_n=30)
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(built.probs, inline.probs)
+        assert rows_by_process().keys() == {os.getpid()}
+
+    def test_one_cpu_builds_inline(self, monkeypatch, rows_by_process):
+        _cpus(monkeypatch, 1)
+        _no_fork(monkeypatch)
+        build_table("even", max_n=30)
+        assert rows_by_process().keys() == {os.getpid()}
+
+    def test_a_second_thread_keeps_the_build_inline(self, monkeypatch,
+                                                    rows_by_process):
+        # the no_hang watchdog is a C thread, which threading does not list
+        # but a fork meets all the same
+        monkeypatch.setattr(tables, "_cpus", lambda: 2)
+        _no_fork(monkeypatch)
+        assert not tables._alone()
+        build_table("even", max_n=30)
+        assert rows_by_process().keys() == {os.getpid()}
+
+    def test_the_guard_counts_each_thread(self):
+        # a forked child runs one thread until it starts another
+        def alone_then_not():
+            first = tables._alone()
+            done = threading.Event()
+            other = threading.Thread(target=done.wait)
+            other.start()
+            try:
+                return first, tables._alone()
+            finally:
+                done.set()
+                other.join()
+
+        assert _in_a_child(alone_then_not) == (True, False)
+
+    def test_a_daemonic_child_builds_inline(self, monkeypatch,
+                                            rows_by_process):
+        # a multiprocessing.Pool worker may not start children of its own
+        _cpus(monkeypatch, 1)
+        inline = build_table("even", max_n=30)
+        rows_by_process()
+        _cpus(monkeypatch, 2)
+        probs, pid = _in_a_child(
+            lambda: (build_table("even", max_n=30).probs, os.getpid()),
+            daemon=True)
+        assert np.array_equal(probs, inline.probs)
+        assert rows_by_process().keys() == {pid}
+
+    def test_a_build_below_the_row_floor_runs_inline(self, monkeypatch,
+                                                     rows_by_process):
+        _cpus(monkeypatch, 2)
+        _no_fork(monkeypatch)
+        small = build_table("even", max_n=22)
+        assert len(small.sizes) == tables._POOL_MIN_ROWS - 1
+        assert rows_by_process().keys() == {os.getpid()}
 
 
 class TestTableType:
