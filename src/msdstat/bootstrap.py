@@ -16,7 +16,7 @@ import numpy as np
 from .distribution import (_check_int, _check_list, _check_real,
                            _check_seed, _validate_levels)
 from .errors import DataError
-from .simulation import _QUANTILE_METHOD, _blocks, _pool
+from .simulation import _QUANTILE_METHOD, _blocks, _pool, _quantiles
 from .statistic import Dataset, qe_values
 
 
@@ -128,13 +128,17 @@ def bootstrap_msd(ds: Dataset, cfg: BootstrapConfig = BootstrapConfig()
     """
     u = ds.uncertainties()
     observed = qe_values(ds.values(), u)
-    sims = _pool(qe_values, u, _blocks(cfg.seed, cfg.replicates))
-    counts = (sims >= observed).sum(axis=0)
+    counts = np.zeros(ds.n, dtype=np.int64)
+
+    def count(sims):
+        np.add(counts, np.count_nonzero(sims >= observed, axis=0), out=counts)
+
+    level_quantiles = _quantiles(
+        lambda: _pool(qe_values, u, _blocks(cfg.seed, cfg.replicates)),
+        cfg.levels, cfg.replicates, ds.n, each=count)
     raw = [max(int(k), 1) / cfg.replicates for k in counts]
     p_values = [[PValue(p, bool(k == 0)) for p, k in zip(ps, counts)]
                 for ps in (raw, holm_adjust(raw), bh_adjust(raw))]
-    level_quantiles = np.quantile(sims, cfg.levels, axis=0,
-                                   method=_QUANTILE_METHOD)
     rows = tuple(
         BootstrapRow(label, float(observed[i]),
                      tuple(float(q) for q in level_quantiles[:, i]),

@@ -7,6 +7,14 @@ The key is empty for a single run, bootstrap.bootstrap_msd included, and
 is (j,) for grid point or dataset size j. Results therefore depend only
 on the arguments, never on scheduling or worker count, and any block can
 be recomputed in isolation.
+
+A pool of replicates is never held whole. Each block is drawn, scaled and
+scored in chunks of rows within the statistic kernel's budget, and the
+chunks' scores are reduced as they stream past: counts as running sums,
+quantiles from the few values near each one's order statistics. When
+those values miss an order statistic, which is rare, the run's streams
+are replayed once more to find it, so every quantile is the one
+``np.quantile`` gives on the whole pool.
 """
 from __future__ import annotations
 
@@ -18,8 +26,8 @@ import numpy as np
 from .distribution import (_check_int, _check_list, _check_n, _check_real,
                            _check_seed, _validate_levels)
 from .errors import DataError
-from .statistic import (INSPECT, SCREEN, _mean_square, _median_abs, _sliced,
-                        pwch_values, qe_values)
+from .statistic import (BUDGET, INSPECT, SCREEN, _mean_square, _median_abs,
+                        _sliced, pwch_values, qe_values)
 from .tables import _critical_value
 
 BLOCK = 4096
@@ -89,11 +97,179 @@ def _bracket_se(sorted_vals: np.ndarray, p: float) -> float:
     return 0.5 * float(sorted_vals[hi] - sorted_vals[lo])
 
 
-def _pool(kernel, u: np.ndarray, blocks) -> np.ndarray:
-    """``kernel(x, u)`` pooled over the blocks, each x_i ~ Normal(0, u_i):
-    the one replicate loop of the null studies and the bootstrap."""
-    return np.concatenate([kernel(rng.standard_normal((c, u.size)) * u, u)
-                           for rng, c in blocks])
+def _pool(kernel, u: np.ndarray, blocks):
+    """Lazily yield ``kernel(x, u)`` for each chunk of the blocks' rows,
+    each x_i ~ Normal(0, u_i): the one replicate loop of the null studies
+    and the bootstrap. A chunk holds at most BUDGET draws (one row when n
+    alone is larger), and a generator draws a block's rows chunk by chunk
+    exactly as in one call."""
+    rows = max(1, BUDGET // u.size)
+    for rng, c in blocks:
+        for done in range(0, c, rows):
+            x = rng.standard_normal((min(rows, c - done), u.size))
+            # rebinding x frees the draws before the scores are handed on
+            x = kernel(np.multiply(x, u, out=x), u)
+            yield x
+
+
+# A bracket narrows to _Z standard deviations of its order statistics'
+# ranks, plus _Z**2 values a row for the skew of a tail. An order statistic
+# outside it at the end costs one more pass, never a different value.
+_Z = 5.0
+
+
+class _Quantiles:
+    """``np.quantile(values, ps, axis=0, method="linear")`` for m columns
+    whose values arrive in chunks, bit for bit, from a kept set that grows
+    as sqrt(rows).
+
+    Each column holds ``rows * width`` values, ``width`` to a row, and the
+    rows are exchangeable. The first chunk is sorted whole once. From then
+    on each level keeps, per column, the values inside a bracket [lo, hi]
+    and a count of those below it. The bracket narrows, each time its kept
+    values double, around the ranks its two order statistics may have
+    among the values seen so far: a hypergeometric count of rows, times
+    ``width`` since one row's values may move together. ``result`` replays
+    the stream for each target whose bracket missed, from a bracket known
+    to hold it and with a wider margin. A column holding a NaN gives NaN.
+    """
+
+    def __init__(self, ps, rows: int, m: int, width: int, z: float,
+                 lo=-np.inf, hi=np.inf):
+        self.ps = np.asarray(ps, dtype=float)
+        count = rows * width
+        # numpy's virtual index, neighbours and weight for "linear"
+        v = (count - 1) * self.ps
+        top = v >= count - 1
+        self.prev = np.where(top, count - 1, np.floor(v)).astype(np.intp)
+        self.next = np.where(top, count - 1, self.prev + 1)
+        self.gamma = v - np.where(top, -1, self.prev)
+        shape = (self.ps.size, m)
+        self.rows, self.width, self.z, self.seen = rows, width, z, 0
+        self.lo = np.array(np.broadcast_to(lo, shape), dtype=float)
+        self.hi = np.array(np.broadcast_to(hi, shape), dtype=float)
+        self.wanted = self.lo <= self.hi
+        self.below = np.zeros(shape, dtype=np.int64)
+        self.fill = np.zeros(shape, dtype=np.intp)
+        self.kept = None  # per level once the first chunk is in
+        self.narrowed = np.zeros(self.ps.size, dtype=np.intp)
+        self.nan = np.zeros(m)
+        self.has_nan = np.zeros(m, dtype=bool)
+        self.sorted = False
+
+    def add(self, values: np.ndarray) -> None:
+        """Take the next ``len(values) // width`` rows, shape (rows * width, m)."""
+        self.seen += len(values) // self.width
+        nan = np.isnan(values)
+        if nan.any():
+            cols = np.flatnonzero(nan.any(axis=0) & ~self.has_nan)
+            self.nan[cols] = values[nan.argmax(axis=0)[cols], cols]
+            self.has_nan[cols] = True
+        if self.kept is None:
+            self._start(values)
+            return
+        for l, kept in enumerate(self.kept):
+            lo, hi, fill = self.lo[l], self.hi[l], self.fill[l]
+            self.below[l] += np.count_nonzero(values < lo, axis=0)
+            inside = (values >= lo) & (values <= hi)
+            got = np.count_nonzero(inside, axis=0)
+            new = fill + got
+            if new.max() > kept.shape[1]:
+                grown = np.full((kept.shape[0], max(new.max(),
+                                                    kept.shape[1] * 3 // 2)),
+                                np.nan)  # a NaN pads a row and sorts last
+                grown[:, :kept.shape[1]] = kept
+                self.kept[l] = kept = grown
+            # each column's new values, in column order, after its kept ones
+            starts = np.repeat(fill - (np.cumsum(got) - got), got)
+            kept[np.repeat(np.arange(kept.shape[0]), got),
+                 np.arange(starts.size) + starts] = values.T[inside.T]
+            self.fill[l] = new
+            self.sorted = False
+            if new.max() > 2 * self.narrowed[l]:
+                kept.sort(axis=1)
+                self._narrow(l, kept)
+
+    def _start(self, values: np.ndarray) -> None:
+        """Sort the first chunk once, and narrow every level from it
+        unless it is the whole stream."""
+        whole = np.sort(values.T, axis=1)
+        self.fill[:] = np.count_nonzero(whole == whole, axis=1)  # not NaN
+        self.kept = [whole] * self.ps.size
+        if self.seen < self.rows:
+            for l in range(self.ps.size):
+                self._narrow(l, whole)
+        self.sorted = True
+
+    def _narrow(self, l: int, kept: np.ndarray) -> None:
+        """Narrow level l's brackets around its targets, given its sorted
+        kept values (NaN-padded) with ``below[l]`` values under them."""
+        fill, below = self.fill[l], self.below[l]
+        rows, t, w = self.rows, self.seen, self.width
+        share = min(max((self.next[l] + 1) / (rows * w), 1 / rows),
+                    1 - 1 / rows)
+        sd = w * math.sqrt(share * (1 - share) * t * (rows - t)
+                           / max(rows - 1, 1))
+        margin = self.z * sd + self.z ** 2 * w
+        # kept positions of the seen ranks that bound both order statistics
+        a = math.floor((self.prev[l] + 1) * t / rows - margin) - 1 - below
+        b = math.ceil((self.next[l] + 1) * t / rows + margin) - below
+        cols = np.arange(kept.shape[0])
+        last = kept.shape[1] - 1
+        lo = np.maximum(self.lo[l], np.where(
+            (a >= 0) & (a < fill), kept[cols, np.clip(a, 0, last)], -np.inf))
+        hi = np.minimum(self.hi[l], np.where(
+            (b >= 0) & (b < fill), kept[cols, np.clip(b, 0, last)], np.inf))
+        start = np.count_nonzero(kept < lo[:, None], axis=1)
+        fill = np.maximum(np.count_nonzero(kept <= hi[:, None], axis=1)
+                          - start, 0)
+        span = np.arange(fill.max())
+        kept = np.take_along_axis(kept, np.minimum(start[:, None] + span, last),
+                                  axis=1)
+        kept[span >= fill[:, None]] = np.nan
+        self.kept[l], self.fill[l], self.narrowed[l] = kept, fill, fill.max()
+        self.lo[l], self.hi[l] = lo, hi
+        self.below[l] += start
+
+    def _neighbours(self, replay) -> tuple[np.ndarray, np.ndarray]:
+        """The two order statistics around each level's index, per column."""
+        shape = self.lo.shape
+        a, b = np.zeros(shape), np.zeros(shape)
+        miss = np.zeros(shape, dtype=bool)
+        first, last = self.lo.copy(), self.hi.copy()
+        for l, kept in enumerate(self.kept):
+            if not self.sorted:
+                kept.sort(axis=1)
+            fill, cols = self.fill[l], np.arange(shape[1])
+            i = self.prev[l] - self.below[l]
+            j = self.next[l] - self.below[l]
+            if kept.shape[1]:
+                top = kept.shape[1] - 1
+                a[l] = kept[cols, np.clip(i, 0, top)]
+                b[l] = kept[cols, np.clip(j, 0, top)]
+            miss[l] = ((i < 0) | (j >= fill)) & self.wanted[l] & ~self.has_nan
+            first[l][i < 0] = -np.inf
+            last[l][j >= fill] = np.inf
+        if miss.any():
+            again = _Quantiles(self.ps, self.rows, shape[1], self.width,
+                               2 * self.z + 1, np.where(miss, first, np.inf),
+                               np.where(miss, last, -np.inf))
+            for values in replay():
+                again.add(values)
+            a2, b2 = again._neighbours(replay)
+            a, b = np.where(miss, a2, a), np.where(miss, b2, b)
+        return a, b
+
+    def result(self, replay) -> np.ndarray:
+        """The (levels, m) quantiles once every row is in; ``replay()``
+        yields the same chunks again for a target whose bracket missed."""
+        a, b = self._neighbours(replay)
+        t = self.gamma[:, None]
+        diff = b - a  # numpy's _lerp, operation for operation
+        out = a + diff * t
+        np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+        np.copyto(out, self.nan, where=self.has_nan)
+        return out
 
 
 def _rate(hits, trials):
@@ -103,12 +279,26 @@ def _rate(hits, trials):
 
 
 def _null_pool(kernel, n: int, ps, replicates: int, seed: int):
-    """Checked levels, and ``kernel``'s values pooled over every replicate
-    of an all-null study of size n."""
+    """Checked levels, and a replayable stream of ``kernel``'s values over
+    every replicate of an all-null study of size n."""
     n = _check_n(n)
-    blocks = _blocks(seed, replicates)
+    _blocks(seed, replicates)
     _check_int("replicates", replicates, "an integer >= 1000", 1000)
-    return _validate_levels(ps), _pool(kernel, np.ones(n), blocks)
+    u = np.ones(n)
+    return (_validate_levels(ps),
+            lambda: _pool(kernel, u, _blocks(seed, replicates)))
+
+
+def _quantiles(stream, ps, rows: int, m: int, width: int = 1,
+               each=None) -> np.ndarray:
+    """``_Quantiles.result`` over ``stream()``, whose chunks each also go
+    to ``each`` on the first pass."""
+    found = _Quantiles(ps, rows, m, width, _Z)
+    for values in stream():
+        if each is not None:
+            each(values)
+        found.add(values)
+    return found.result(stream)
 
 
 def simulate_multi_quantiles(n: int, ps, replicates: int,
@@ -118,8 +308,9 @@ def simulate_multi_quantiles(n: int, ps, replicates: int,
     One row of the multiple-observation critical value table: a proportion
     p of null datasets contain no statistic above the returned values.
     """
-    ps, maxima = _null_pool(lambda z, u: qe_values(z, u).max(axis=1),
+    ps, stream = _null_pool(lambda z, u: qe_values(z, u).max(axis=1),
                             n, ps, replicates, seed)
+    maxima = np.concatenate(list(stream()))
     maxima.sort()
     out = []
     for p in ps:
@@ -219,6 +410,6 @@ def calibrate_pwch_quantile(n: int, p: float, replicates: int,
     Pools every observation's comparator value across replicates of an
     all-null study and returns the empirical p-quantile of the pool.
     """
-    (p,), pool = _null_pool(lambda z, u: pwch_values(z, u).ravel(),
-                            n, (p,), replicates, seed)
-    return float(np.quantile(pool, p, method=_QUANTILE_METHOD))
+    (p,), stream = _null_pool(lambda z, u: pwch_values(z, u).reshape(-1, 1),
+                              n, (p,), replicates, seed)
+    return float(_quantiles(stream, (p,), replicates, 1, width=n)[0, 0])

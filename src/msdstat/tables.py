@@ -22,6 +22,7 @@ import itertools
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -217,6 +218,7 @@ def _build_rows(sizes, t_knots: np.ndarray) -> list[np.ndarray]:
 
     rows = [_build_row(sizes[0], t_knots)]
     before = set(multiprocessing.active_children())
+    threads = _threads()
     pool = None
     try:
         try:
@@ -236,17 +238,27 @@ def _build_rows(sizes, t_knots: np.ndarray) -> list[np.ndarray]:
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+            # the executor's joined thread can stay listed for a moment,
+            # and the next build's guard would count it as a live thread
+            deadline = time.monotonic() + 1.0
+            while _threads() > threads and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+
+def _threads() -> int:
+    """The number of threads this process runs, native ones included (a
+    BLAS pool, faulthandler's watchdog), which ``threading`` does not list
+    but CPython 3.12+ counts before it warns that a fork may deadlock; 0
+    when ``/proc`` cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
 
 
 def _alone() -> bool:
-    """Whether this process runs one thread, native ones included (a BLAS
-    pool, faulthandler's watchdog), which ``threading`` does not list but
-    CPython 3.12+ counts before it warns that a fork may deadlock; False
-    when ``/proc`` cannot tell."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
+    """Whether this process runs one thread, by ``_threads``."""
+    return _threads() == 1
 
 
 def _build_row(n, t_knots: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Parametric bootstrap: counting, adjustment arithmetic, and invariances."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import property_checks as props
-from msdstat import DataError, DomainError, quantile
+from msdstat import DataError, DomainError, bootstrap, quantile, simulation
 from msdstat.bootstrap import (
     BootstrapConfig,
     BootstrapReport,
@@ -14,8 +15,9 @@ from msdstat.bootstrap import (
     bootstrap_msd,
     holm_adjust,
 )
-from msdstat.statistic import Dataset
+from msdstat.statistic import Dataset, qe_values
 
+from test_simulation import full_pool
 from test_statistic import LABS, UNCERTS, VALUES
 
 
@@ -241,3 +243,91 @@ class TestNullCoverage:
 class TestInvariants:
     def test_determinism(self):
         props.check_bootstrap_determinism()
+
+
+def thirty_labs() -> Dataset:
+    rng = np.random.default_rng(30)
+    u = rng.uniform(0.5, 2.0, size=30)
+    return Dataset.from_arrays([f"p{i}" for i in range(30)],
+                               u * rng.normal(size=30), u)
+
+
+LEVELS = (0.5, 0.95, 0.99, 0.999)
+
+
+def assert_matches_whole_pool(ds, cfg, kernel=qe_values):
+    """Every count and quantile of ``bootstrap_msd`` is the one that
+    ``np.quantile`` and a comparison give on the whole pool."""
+    report = bootstrap_msd(ds, cfg)
+    u = ds.uncertainties()
+    sims = full_pool(kernel, u, cfg.seed, cfg.replicates)
+    observed = kernel(ds.values(), u)
+    counts = (sims >= observed).sum(axis=0)
+    quantiles = np.quantile(sims, cfg.levels, axis=0, method="linear")
+    for i, row in enumerate(report.rows):
+        assert row.statistic == observed[i]
+        assert row.p_raw == PValue(max(counts[i], 1) / cfg.replicates,
+                                   bool(counts[i] == 0))
+        assert np.array_equal(row.quantiles, quantiles[:, i], equal_nan=True)
+    return report
+
+
+class TestStreamedPool:
+    """The pool streams past in chunks; counts and quantiles stay numpy's
+    on the whole pool, bit for bit."""
+
+    # 1001 puts every level's index on an integer
+    @pytest.mark.parametrize("replicates", [100, 1001, 4095, 4096, 4097, 8193])
+    def test_counts_and_quantiles(self, replicates):
+        for ds in (study(), thirty_labs()):
+            assert_matches_whole_pool(ds, BootstrapConfig(
+                replicates=replicates, seed=31, levels=LEVELS))
+
+    def test_tie_heavy_scores(self, monkeypatch):
+        def rounded(x, u):
+            return np.round(qe_values(x, u), 1)
+
+        monkeypatch.setattr(bootstrap, "qe_values", rounded)
+        assert_matches_whole_pool(thirty_labs(), BootstrapConfig(
+            replicates=9000, seed=32, levels=LEVELS), rounded)
+
+    def test_a_nan_column(self, monkeypatch):
+        def with_nans(x, u):
+            q = qe_values(x, u)
+            q[..., 2] = np.where(np.abs(x[..., 0]) > 3 * u[0], np.nan,
+                                 q[..., 2])
+            return q
+
+        monkeypatch.setattr(bootstrap, "qe_values", with_nans)
+        report = assert_matches_whole_pool(thirty_labs(), BootstrapConfig(
+            replicates=9000, seed=33, levels=LEVELS), with_nans)
+        assert all(np.isnan(report.rows[2].quantiles))
+        assert not np.isnan(report.rows[3].quantiles).any()
+
+    def test_a_bracket_that_misses_is_replayed(self, monkeypatch):
+        # without a margin nearly every bracket misses at first
+        monkeypatch.setattr(simulation, "_Z", 0.0)
+        pool, passes = bootstrap._pool, []
+
+        def counted(*args):
+            passes.append(None)
+            return pool(*args)
+
+        monkeypatch.setattr(bootstrap, "_pool", counted)
+        assert_matches_whole_pool(thirty_labs(), BootstrapConfig(
+            replicates=9000, seed=34, levels=LEVELS))
+        assert len(passes) > 1
+
+    def test_working_set_does_not_grow_with_replicates(self):
+        ds = thirty_labs()
+        bootstrap_msd(ds, BootstrapConfig(replicates=100))
+        peaks = []
+        for replicates in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                bootstrap_msd(ds, BootstrapConfig(replicates=replicates))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2 ** 20
+        assert peaks[1] < 1.5 * peaks[0]

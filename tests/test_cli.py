@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -16,6 +17,7 @@ from msdstat import DataError, distribution, tables
 from msdstat.cli import entrypoint
 from msdstat.datasets import conductivity_study, load_study
 from msdstat.errors import ConvergenceError
+from msdstat.statistic import Dataset
 from msdstat.tables import (QuantileTable, _critical_value, _table_file,
                             build_table, default_table, save_table)
 
@@ -600,10 +602,10 @@ class TestExitCodeMapping:
 
 # Runs msd commands one after another in a fresh interpreter and prints,
 # for the import and after each command, the scipy modules loaded,
-# whether concurrent.futures is loaded, whether a second thread runs, and
-# the command's own stdout.
+# whether concurrent.futures is loaded, whether a second thread runs, the
+# process's peak resident set so far in KiB, and the command's own stdout.
 _COLD_CHILD = """
-import io, json, sys, threading
+import io, json, resource, sys, threading
 from contextlib import redirect_stdout
 def state(printed=""):
     return {"scipy": sorted(m for m in sys.modules
@@ -611,6 +613,7 @@ def state(printed=""):
             "futures": "concurrent.futures" in sys.modules,
             "multiprocessing": "multiprocessing" in sys.modules,
             "threads": threading.active_count() > 1,
+            "maxrss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             "stdout": printed}
 from msdstat.cli import entrypoint
 loaded = {"import msdstat.cli": state()}
@@ -626,6 +629,19 @@ print(json.dumps(loaded))
 """
 
 
+def _cold(commands) -> dict:
+    """``_COLD_CHILD``'s state after the import and after each command."""
+    package = Path(msdstat.__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_CHILD, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 class TestColdStart:
     def test_scipy_is_loaded_only_by_exact_cdfs(self, study_path):
         # scipy comes with the exact cdfs alone, and concurrent.futures
@@ -633,9 +649,6 @@ class TestColdStart:
         # so no command leaves one running; multiprocessing comes only with
         # a table build large enough to fork, which no command here makes
         package = Path(msdstat.__file__).resolve().parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package.parent), env.get("PYTHONPATH")]))
         single = [
             ["analyze", str(study_path), "--tables", str(package / "data")],
             ["quantile", "--n", "13", "--p", "0.95", "--method", "table"],
@@ -645,12 +658,7 @@ class TestColdStart:
         # the rest of the benchmark's cold commands, after scipy is loaded
         later = [["quantile", "--n", "12", "--p", "0.95"],
                  ["analyze", str(study_path), "--bootstrap", "500"]]
-        out = subprocess.run(
-            [sys.executable, "-c", _COLD_CHILD,
-             json.dumps(single + [replicates, exact] + later)],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        loaded = json.loads(out.stdout)
+        loaded = _cold(single + [replicates, exact] + later)
         assert not any(s["threads"] or s["multiprocessing"]
                        for s in loaded.values())
         for args in later:
@@ -664,3 +672,18 @@ class TestColdStart:
         assert all(s["scipy"] == [] and not s["futures"]
                    for s in loaded.values())
         assert loaded[" ".join(single[1])]["stdout"] == "2.15528\n"
+
+    def test_a_bootstrap_peak_does_not_grow_with_replicates(self, tmp_path):
+        # the replicate pool streams: 100 times the replicates of a 30-lab
+        # study raise the process's peak by a few MB, where holding the
+        # pool took 48 MB for its scores alone
+        rng = np.random.default_rng(30)
+        u = rng.uniform(0.5, 2.0, size=30)
+        path = tmp_path / "thirty.csv"
+        write_study(Dataset.from_arrays([f"p{i}" for i in range(30)],
+                                        u * rng.normal(size=30), u), path)
+        small, large = (["bootstrap", str(path), "-B", b]
+                        for b in ("2000", "200000"))
+        loaded = _cold([small, large])
+        kib = [loaded[" ".join(args)]["maxrss"] for args in (small, large)]
+        assert (kib[1] - kib[0]) * 1024 < 8e6, kib

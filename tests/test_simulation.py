@@ -1,18 +1,23 @@
 """Monte Carlo engine: reference values, calibration, and reproducibility."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import property_checks as props
-from msdstat import DataError, DomainError, quantile
+from msdstat import DataError, DomainError, quantile, simulation
 from msdstat.bootstrap import BootstrapConfig, bootstrap_msd, holm_adjust
 from msdstat.simulation import (
+    BLOCK,
+    _blocks,
+    _Quantiles,
     calibrate_pwch_quantile,
     simulate_hetero_guideline,
     simulate_multi_quantiles,
     simulate_power,
     simulate_resistance,
 )
-from msdstat.statistic import Dataset
+from msdstat.statistic import BUDGET, Dataset, pwch_values
 
 
 def _runs(n=10, replicates=1000, seed=0):
@@ -308,3 +313,90 @@ class TestStreamLayout:
                 z[:, 0] += delta
                 count += int((_sorted_qe(z, np.ones(5))[:, 0] > 1.0).sum())
             assert curve.proportion[j] == count / 5000
+
+
+def full_pool(kernel, u, seed, replicates):
+    """The replicate pool held whole: each block drawn in one call and
+    scored at once, as before the pool streamed."""
+    full, rem = divmod(replicates, BLOCK)
+    return np.concatenate([
+        kernel(_generator(seed, (b,)).standard_normal((c, u.size)) * u, u)
+        for b, c in enumerate([BLOCK] * full + [rem] * (rem > 0))])
+
+
+def counting(stream):
+    """``stream`` and a list that grows by one each time it is replayed."""
+    passes = []
+
+    def counted():
+        passes.append(None)
+        return stream()
+    return counted, passes
+
+
+class TestStreamedPool:
+    """The pool is scored chunk by chunk and never held whole; each of its
+    quantiles must be np.quantile's on the whole pool, bit for bit."""
+
+    @pytest.mark.parametrize("key", [(), (3,)])
+    def test_a_block_drawn_in_chunks_is_one_draw(self, key):
+        # a full block is one chunk at n = 5, two at 23 and seven at 100
+        for n in (5, 23, 100):
+            rows = max(1, BUDGET // n)
+            for (one, c), (chunked, _) in zip(_blocks(8, 9000, key),
+                                              _blocks(8, 9000, key)):
+                whole = one.standard_normal((c, n))
+                parts = [chunked.standard_normal((min(rows, c - done), n))
+                         for done in range(0, c, rows)]
+                assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("n, replicates, p", [
+        (10, 1000, 0.95), (5, 1001, 0.5), (4, 4095, 0.99), (4, 4096, 0.999),
+        (4, 4097, 0.95), (3, 8193, 0.5), (30, 3000, 0.99)])
+    def test_pooled_calibration_is_numpys_quantile(self, n, replicates, p):
+        pool = full_pool(pwch_values, np.ones(n), 6, replicates)
+        assert calibrate_pwch_quantile(n, p, replicates, 6) == float(
+            np.quantile(pool.ravel(), p, method="linear"))
+
+    @pytest.mark.parametrize("z", [simulation._Z, 0.0],
+                             ids=["default margin", "no margin"])
+    def test_ties_nans_and_replays(self, monkeypatch, z):
+        # without a margin nearly every bracket misses on the continuous
+        # columns, and the replays must still find numpy's bits
+        monkeypatch.setattr(simulation, "_Z", z)
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(20_000, 6))
+        values[:, :3] = np.round(values[:, :3], 1)  # heavy ties
+        values[[5, 17_000], 2] = np.nan
+        values[3, 4] = np.inf
+        stream, passes = counting(
+            lambda: (values[i:i + 3000] for i in range(0, 20_000, 3000)))
+        ps = (0.5, 0.95, 0.99, 0.999)
+        got = simulation._quantiles(stream, ps, 20_000, 6)
+        want = np.quantile(values, ps, axis=0, method="linear")
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[:, 2]).all()
+        assert (len(passes) > 1) == (z == 0.0)
+
+    def test_a_bracket_that_misses_is_replayed(self):
+        values = np.random.default_rng(10).normal(size=(5000, 1))
+        ps = (0.01, 0.5, 0.99)
+        for lo, hi in ((5.0, 6.0), (-6.0, -5.0), (0.0, 0.0)):
+            found = _Quantiles(ps, 5000, 1, 1, simulation._Z, lo, hi)
+            stream, passes = counting(
+                lambda: (values[i:i + 700] for i in range(0, 5000, 700)))
+            for chunk in stream():
+                found.add(chunk)
+            assert np.array_equal(found.result(stream), np.quantile(
+                values, ps, axis=0, method="linear"))
+            assert len(passes) == 2
+
+    def test_pooled_working_set_does_not_grow_with_replicates(self):
+        calibrate_pwch_quantile(30, 0.95, 1000, 0)
+        tracemalloc.start()
+        try:
+            calibrate_pwch_quantile(30, 0.95, 200_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20

@@ -210,6 +210,16 @@ class TestPooledBuild:
         assert 1 <= len(ran) <= 2
         assert set().union(*ran.values()) == {str(n) for n in inline.sizes[1:]}
 
+    def test_no_thread_is_left_listed_after_a_build(self, monkeypatch):
+        # the executor's joined thread could stay in /proc/self/task after
+        # shutdown, and the next build then saw a second thread and ran
+        # inline
+        _cpus(monkeypatch, 2)
+        for _ in range(10):
+            threads = len(os.listdir("/proc/self/task"))
+            build_table("even", max_n=30)
+            assert len(os.listdir("/proc/self/task")) == threads
+
     def test_a_failure_in_a_worker_names_its_row(self, monkeypatch):
         caller = os.getpid()
 
