@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage errors, 3 input/validation problems
 (including unreadable paths, an unwritable ``tables generate --out``
-directory and a ``tables generate`` worker process that dies), 4 numeric
+directory and a forked ``tables generate`` child that dies), 4 numeric
 failures. The root group maps library errors onto these codes for every
 command, the ``tables`` and ``simulate`` subcommands included. The
 ``simulate`` commands print their delimited text on stdout only; a shell

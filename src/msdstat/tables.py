@@ -18,11 +18,9 @@ tangents of its one row, tabulated or synthesized, the same way.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import os
-import sys
-import time
+import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -168,18 +166,15 @@ def build_table(parity: str, max_n: int | None = None) -> QuantileTable:
     its last row across the gap to n = inf, missing ``cdf`` by up to 2.7e-3
     (``max_n=16`` even at n = 100, ``max_n=15`` odd at n = 31 and 99).
 
-    A build of ``_POOL_MIN_ROWS`` rows or more forks two worker processes
-    for the call on Linux, when the process may use two or more CPUs, runs
-    one thread and is not a daemonic ``multiprocessing`` child (which may
-    not start children). Native threads count: numpy's OpenBLAS keeps one
-    per extra CPU unless ``OPENBLAS_NUM_THREADS=1``, so an unpinned process
-    builds inline, as a fork beside a live thread can deadlock. The caller
-    computes the first row, so the workers inherit its lazy set-up, and the
-    workers the rest; both are gone before the call returns. If no worker
-    can start, the caller computes the rest itself. A row depends only on
-    its size, so the table is the same bit for bit either way. A quadrature
-    failure raises ``ConvergenceError`` naming the row's n and q wherever
-    it ran; a worker that dies raises ``ChildProcessError``."""
+    On Linux, a build of ``_POOL_MIN_ROWS`` rows or more forks one child
+    when the process may use two or more CPUs and runs one thread after the
+    first row (numpy's OpenBLAS keeps one per extra CPU unless
+    ``OPENBLAS_NUM_THREADS=1``). The caller computes the first row and every
+    other one after it, the child the rest, reaped before the call returns;
+    if no child can start, the caller computes every row. Either way the
+    table is the same bit for bit. A quadrature failure raises
+    ``ConvergenceError`` naming the row's n and q wherever it ran; a child
+    that dies raises ``ChildProcessError``."""
     _check_parity(parity)
     sizes = EVEN_SIZES if parity == "even" else ODD_SIZES
     if max_n is not None:
@@ -188,77 +183,81 @@ def build_table(parity: str, max_n: int | None = None) -> QuantileTable:
             raise DomainError(f"max_n={max_n} leaves no table rows")
     sizes += (math.inf,)
     t_knots = knot_grid()
-    return QuantileTable(parity, sizes, t_knots,
-                         np.vstack(_build_rows(sizes, t_knots)))
+    return QuantileTable(parity, sizes, t_knots, _build_rows(sizes, t_knots))
 
 
-# The fewest rows worth the pool. Starting and stopping two forked workers
-# costs about 10 ms, which the cheapest rows, the even ones at 3-7 ms each,
-# win back at about 12 rows: 25 ms inline against 30 ms pooled at 10 rows,
-# 32 against 34 at 12 and 44 against 39 at 15. Odd rows cost 30-100 ms, and
-# 5 of them took 127 ms inline against 107 ms pooled (medians of 5, 2-vCPU
-# x86-64). Two workers, as in the statistic kernel: more are unmeasured.
-# Like the kernel, the count follows the affinity mask, not a cgroup CPU
-# quota: under a one-CPU quota the build still forks two workers, which
-# cost about 10% more CPU time than inline for no gain (ROADMAP item 18).
+# The fewest rows worth the fork. A fork costs about 3 ms, and rows run
+# slower side by side than alone; the even rows, 4-10 ms each, win that back
+# at about 12: in four runs of 21-41 alternating builds the forked median won
+# 2 of 4 at 8 and 10 rows, 3 of 4 at 12, 14 and 16, and 4 of 4 for 5 odd
+# rows (shared 2-vCPU x86-64). As in the statistic kernel, a cgroup CPU
+# quota is not read: under a one-CPU quota the build forks for no gain.
 _POOL_MIN_ROWS = 12
 
 
-def _build_rows(sizes, t_knots: np.ndarray) -> list[np.ndarray]:
-    """``_build_row`` of each size, in size order, under ``build_table``'s
-    rule for when two forked workers compute them."""
-    mp = sys.modules.get("multiprocessing")
-    if (_cpus() < 2 or len(sizes) < _POOL_MIN_ROWS
-            or sys.platform != "linux" or not _alone()
-            or mp is not None and mp.current_process().daemon):
-        return [_build_row(n, t_knots) for n in sizes]
-    import multiprocessing
-    from concurrent.futures.process import (BrokenProcessPool,
-                                            ProcessPoolExecutor)
-
-    rows = [_build_row(sizes[0], t_knots)]
-    before = set(multiprocessing.active_children())
-    threads = _threads()
-    pool = None
+def _build_rows(sizes, t_knots: np.ndarray) -> np.ndarray:
+    """``_build_row`` of each size, in order, by ``build_table``'s rule."""
+    rows = np.empty((len(sizes), t_knots.size))
+    rows[0] = _build_row(sizes[0], t_knots)
+    child = (_fork(sizes[2::2], t_knots) if _cpus() >= 2 and _alone()
+             and len(sizes) >= _POOL_MIN_ROWS else None)
+    if child is None:
+        rows[1:] = [_build_row(n, t_knots) for n in sizes[1:]]
+        return rows
+    pid, pipe = child
     try:
-        try:
-            pool = ProcessPoolExecutor(
-                2, mp_context=multiprocessing.get_context("fork"))
-            rest = pool.map(_build_row, sizes[1:], itertools.repeat(t_knots))
-        except OSError:
-            # a process, memory or file limit refused the pool: a worker
-            # that did start would wait forever, so it is stopped
-            for child in set(multiprocessing.active_children()) - before:
-                child.terminate()
-                child.join()
-            rest = (_build_row(n, t_knots) for n in sizes[1:])
-        return rows + list(rest)
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(f"a table build worker died: {exc}") from exc
+        with pipe:  # closed early, it fails a child that has yet to write
+            rows[1::2] = [_build_row(n, t_knots) for n in sizes[1::2]]
+            sent = pipe.read()
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-            # the executor's joined thread can stay listed for a moment,
-            # and the next build's guard would count it as a live thread
-            deadline = time.monotonic() + 1.0
-            while _threads() > threads and time.monotonic() < deadline:
-                time.sleep(0.001)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not sent:
+        raise ChildProcessError(f"a table build worker died: code {code}")
+    theirs = pickle.loads(sent)
+    if isinstance(theirs, BaseException):
+        raise theirs
+    rows[2::2] = theirs
+    return rows
 
 
-def _threads() -> int:
-    """The number of threads this process runs, native ones included (a
-    BLAS pool, faulthandler's watchdog), which ``threading`` does not list
-    but CPython 3.12+ counts before it warns that a fork may deadlock; 0
-    when ``/proc`` cannot tell."""
+def _fork(sizes, t_knots: np.ndarray):
+    """A child that sends ``_build_row`` of each size, or the exception it
+    raised, pickled: its pid and the pipe's read end; None if refused."""
+    read, write = os.pipe()
     try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 0
+        pid = os.fork()
+    except OSError:  # a process or memory limit
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    try:  # the child never returns into the caller's stack
+        os.close(read)
+        try:
+            sent = pickle.dumps([_build_row(n, t_knots) for n in sizes])
+        except BaseException as exc:
+            try:
+                sent = pickle.dumps(exc)
+            except Exception:
+                sent = pickle.dumps(ChildProcessError(
+                    f"a table build worker raised {exc!r}"))
+        with open(write, "wb") as pipe:
+            pipe.write(sent)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def _alone() -> bool:
-    """Whether this process runs one thread, by ``_threads``."""
-    return _threads() == 1
+    """Whether this process runs one thread, native ones included (a fork
+    beside a live thread can deadlock); False off Linux, where ``/proc``
+    cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
 
 def _build_row(n, t_knots: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,13 @@ def write_study(ds, path):
     lines = ["lab,value,u"] + [f"{o.label},{o.value!r},{o.uncertainty!r}"
                                for o in ds.observations]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def assert_no_child():
+    """Fail if this process has a child, running or not yet reaped, whether
+    ``multiprocessing`` started it or a bare ``os.fork``."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_addoption(parser):

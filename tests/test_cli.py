@@ -1,7 +1,6 @@
 """Command-line surface: parsing, exit codes, routing, and reproducibility."""
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,7 +20,7 @@ from msdstat.statistic import Dataset
 from msdstat.tables import (QuantileTable, _critical_value, _table_file,
                             build_table, default_table, save_table)
 
-from conftest import write_study
+from conftest import assert_no_child, write_study
 
 
 @pytest.fixture()
@@ -389,7 +388,7 @@ class TestTablesGenerate:
         assert result.exit_code == 3
         assert result.stderr.startswith("error: a table build worker died: ")
         assert list(out.iterdir()) == []
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 class TestSimulateCmds:
     def test_table3_value_and_reproducibility(self, runner):
@@ -646,8 +645,7 @@ class TestColdStart:
     def test_scipy_is_loaded_only_by_exact_cdfs(self, study_path):
         # scipy comes with the exact cdfs alone, and concurrent.futures
         # with scipy; the kernel's threads live only inside a batch call,
-        # so no command leaves one running; multiprocessing comes only with
-        # a table build large enough to fork, which no command here makes
+        # so no command leaves one running; no command loads multiprocessing
         package = Path(msdstat.__file__).resolve().parent
         single = [
             ["analyze", str(study_path), "--tables", str(package / "data")],

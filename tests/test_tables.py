@@ -1,9 +1,11 @@
 import faulthandler
 import gc
+import json
 import math
 import multiprocessing
 import os
 import re
+import subprocess
 import sys
 import threading
 import weakref
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msdstat import distribution, tables
+from msdstat import distribution, statistic, tables
 from msdstat import (
     DataError,
     DomainError,
@@ -37,6 +39,7 @@ from msdstat.tables import (
     save_table,
 )
 
+from conftest import assert_no_child
 import property_checks as props
 import reference_tables as ref
 
@@ -180,12 +183,13 @@ def _in_a_child(fn, daemon=False):
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="the build forks only on Linux")
 class TestPooledBuild:
-    """Two forked workers compute a large build's rows, give the inline
-    build's bits, report its errors and leave no process or thread."""
+    """One forked child computes every other row of a large build; the
+    build gives the inline build's bits, reports the child's errors and
+    leaves no process or thread."""
 
     @pytest.fixture(autouse=True)
     def no_hang(self):
-        # a build that waits forever on a lost worker ends the run with a
+        # a build that waits forever on a lost child ends the run with a
         # traceback instead
         faulthandler.dump_traceback_later(120, exit=True)
         yield
@@ -200,20 +204,20 @@ class TestPooledBuild:
         _cpus(monkeypatch, 2)
         threads = threading.active_count()
         forked = build_table(parity, max_n=max_n)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert threading.active_count() == threads
         assert forked.sizes == inline.sizes
         assert np.array_equal(forked.probs, inline.probs)
-        # the caller computes the first row, and the workers every other
+        # the caller computes the first row and every other one after it,
+        # and one child the rest
         ran = rows_by_process()
-        assert ran.pop(os.getpid()) == {str(inline.sizes[0])}
-        assert 1 <= len(ran) <= 2
-        assert set().union(*ran.values()) == {str(n) for n in inline.sizes[1:]}
+        sizes = [str(n) for n in inline.sizes]
+        assert ran.pop(os.getpid()) == set(sizes[:1] + sizes[1::2])
+        assert [set(sizes[2::2])] == list(ran.values())
 
     def test_no_thread_is_left_listed_after_a_build(self, monkeypatch):
-        # the executor's joined thread could stay in /proc/self/task after
-        # shutdown, and the next build then saw a second thread and ran
-        # inline
+        # a thread left listed in /proc/self/task after a build would make
+        # the next build's guard see a second thread and run inline
         _cpus(monkeypatch, 2)
         for _ in range(10):
             threads = len(os.listdir("/proc/self/task"))
@@ -221,10 +225,11 @@ class TestPooledBuild:
             assert len(os.listdir("/proc/self/task")) == threads
 
     def test_a_failure_in_a_worker_names_its_row(self, monkeypatch):
+        # n = 23 is one of the child's rows of this build
         caller = os.getpid()
 
         def cdf_failing_in_a_worker(q, n):
-            if n == 21 and q > 1.0 and os.getpid() != caller:
+            if n == 23 and q > 1.0 and os.getpid() != caller:
                 raise ConvergenceError("budget exhausted")
             return distribution.cdf(q, n)
 
@@ -232,46 +237,85 @@ class TestPooledBuild:
         _cpus(monkeypatch, 2)
         t = next(t for t in knot_grid() if t > 0.5)
         with pytest.raises(ConvergenceError, match=re.escape(
-                f"table build failed at n=21, q={t / (1 - t):.6g}: "
+                f"table build failed at n=23, q={t / (1 - t):.6g}: "
                 "budget exhausted")):
             build_table("odd", max_n=25)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_a_worker_that_dies_fails_the_build(self, monkeypatch):
         caller = os.getpid()
 
         def cdf_dying_in_a_worker(q, n):
-            if n == 21 and os.getpid() != caller:
+            if n == 23 and os.getpid() != caller:
                 os._exit(1)
             return distribution.cdf(q, n)
 
         monkeypatch.setattr(tables, "cdf", cdf_dying_in_a_worker)
         _cpus(monkeypatch, 2)
         with pytest.raises(ChildProcessError,
-                           match="a table build worker died: "):
+                           match="a table build worker died: code 1"):
             build_table("odd", max_n=25)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
+
+    def test_an_exception_that_cannot_travel_is_named(self, monkeypatch):
+        # a lock cannot be pickled, so the child sends the exception's repr
+        caller = os.getpid()
+
+        def cdf_raising_a_lock(q, n):
+            if n == 23 and os.getpid() != caller:
+                raise RuntimeError(threading.Lock())
+            return distribution.cdf(q, n)
+
+        monkeypatch.setattr(tables, "cdf", cdf_raising_a_lock)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match=re.escape(
+                "a table build worker raised RuntimeError(<unlocked")):
+            build_table("odd", max_n=25)
+        assert_no_child()
+
+    def test_an_error_in_the_callers_rows_reaps_the_child(self, monkeypatch):
+        # n = 21 is one of the caller's rows after the fork
+        caller = os.getpid()
+        forks = []
+
+        def cdf_failing_in_the_caller(q, n):
+            if n == 21 and os.getpid() == caller:
+                raise ConvergenceError("budget exhausted")
+            return distribution.cdf(q, n)
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(tables, "cdf", cdf_failing_in_the_caller)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ConvergenceError, match="table build failed at "
+                                                   "n=21, q=0: budget"):
+            build_table("odd", max_n=25)
+        assert len(forks) == 1
+        assert_no_child()
 
     def test_a_refused_fork_builds_inline(self, monkeypatch, rows_by_process):
-        # the first worker starts and the second meets a process limit: the
-        # first is stopped and the caller computes every row
+        # a process limit refuses the child: the caller computes every row
+        # and keeps no end of the pipe
         _cpus(monkeypatch, 1)
         inline = build_table("even", max_n=30)
         rows_by_process()
         forks = []
 
-        def second_refused():
+        def refused():
             forks.append(None)
-            if len(forks) > 1:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return fork()
+            raise BlockingIOError(11, "Resource temporarily unavailable")
 
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", second_refused)
+        monkeypatch.setattr(os, "fork", refused)
         _cpus(monkeypatch, 2)
+        fds = len(os.listdir("/proc/self/fd"))
         built = build_table("even", max_n=30)
-        assert len(forks) == 2
-        assert multiprocessing.active_children() == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert len(forks) == 1
+        assert_no_child()
         assert np.array_equal(built.probs, inline.probs)
         assert rows_by_process().keys() == {os.getpid()}
 
@@ -306,9 +350,41 @@ class TestPooledBuild:
 
         assert _in_a_child(alone_then_not) == (True, False)
 
-    def test_a_daemonic_child_builds_inline(self, monkeypatch,
-                                            rows_by_process):
-        # a multiprocessing.Pool worker may not start children of its own
+    def test_the_guard_is_read_after_the_first_row(self, monkeypatch):
+        # the first row's lazy set-up may start a thread that lives on; the
+        # guard, read just before the fork, sees it and the build runs inline
+        monkeypatch.setattr(tables, "_cpus", lambda: 1)
+        inline = build_table("even", max_n=30)
+        monkeypatch.setattr(tables, "_cpus", lambda: 2)
+
+        def build_beside_a_thread():
+            # runs in a forked child, which starts with one thread
+            done = threading.Event()
+            started = []
+
+            def cdf_starting_a_thread(q, n):
+                if not started:
+                    started.append(threading.Thread(target=done.wait))
+                    started[0].start()
+                return distribution.cdf(q, n)
+
+            def refused():
+                raise AssertionError("the build forked")
+
+            tables.cdf = cdf_starting_a_thread
+            os.fork = refused
+            try:
+                return build_table("even", max_n=30).probs
+            finally:
+                done.set()
+                started[0].join()
+
+        assert np.array_equal(_in_a_child(build_beside_a_thread), inline.probs)
+
+    def test_a_daemonic_child_gives_the_inline_bits(self, monkeypatch,
+                                                    rows_by_process):
+        # a multiprocessing.Pool worker may not start multiprocessing
+        # children, but it may fork
         _cpus(monkeypatch, 1)
         inline = build_table("even", max_n=30)
         rows_by_process()
@@ -317,7 +393,8 @@ class TestPooledBuild:
             lambda: (build_table("even", max_n=30).probs, os.getpid()),
             daemon=True)
         assert np.array_equal(probs, inline.probs)
-        assert rows_by_process().keys() == {pid}
+        ran = rows_by_process()
+        assert pid in ran and len(ran) == 2
 
     def test_a_build_below_the_row_floor_runs_inline(self, monkeypatch,
                                                      rows_by_process):
@@ -326,6 +403,38 @@ class TestPooledBuild:
         small = build_table("even", max_n=22)
         assert len(small.sizes) == tables._POOL_MIN_ROWS - 1
         assert rows_by_process().keys() == {os.getpid()}
+
+    @pytest.mark.skipif(statistic._cpus() < 2,
+                        reason="the build forks only on two or more CPUs")
+    def test_a_build_forks_once_and_loads_no_process_pool(self):
+        # in a fresh interpreter whose one BLAS thread lets the build fork
+        src = Path(tables.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", _FORK_COUNTER], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {
+            "forks": 1, "multiprocessing": False,
+            "concurrent.futures.process": False}
+
+
+# Counts os.fork calls while building the odd table in a fresh interpreter,
+# then prints the count and whether a process pool's modules were loaded
+# (concurrent.futures itself comes with scipy).
+_FORK_COUNTER = """
+import json, os, sys
+forks = []
+fork = os.fork
+def counted():
+    forks.append(None)
+    return fork()
+os.fork = counted
+from msdstat.tables import build_table
+build_table("odd")
+print(json.dumps({"forks": len(forks),
+                  **{m: m in sys.modules for m in
+                     ("multiprocessing", "concurrent.futures.process")}}))
+"""
 
 
 class TestTableType:
